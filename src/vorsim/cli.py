@@ -89,12 +89,17 @@ def _final_statistics(cfg, space, trajectory, out_dir, notes):
     """Write summary (and drift, when configured) tables; extend notes."""
     opts = stats_options(cfg)
     tess = tessellation.build(trajectory.final_points, space)
-    summary = pattern_summary(tess, r_grid=opts["r_grid"],
-                              f_resolution=opts["f_resolution"],
-                              grid_n=opts["grid_n"],
-                              volume_bins=opts["volume_bins"])
-    _write_text(os.path.join(out_dir, "summary.csv"), summary.table_lines())
-    notes.append(f"thiel_R={summary.thiel_R:.4f}")
+    if tess.n < 2:
+        # a thinning run to one survivor has no pattern to summarize
+        notes.append("summary skipped (needs at least two points)")
+    else:
+        summary = pattern_summary(tess, r_grid=opts["r_grid"],
+                                  f_resolution=opts["f_resolution"],
+                                  grid_n=opts["grid_n"],
+                                  volume_bins=opts["volume_bins"])
+        _write_text(os.path.join(out_dir, "summary.csv"),
+                    summary.table_lines())
+        notes.append(f"thiel_R={summary.thiel_R:.4f}")
     if opts["region"] is not None:
         sel = trajectory.params.selection
         if sel.kind != "volume_power":

@@ -6,6 +6,15 @@ of the neighbour count for n-processes.  The selected point is removed
 and, in replacement mode, a fresh draw from the sampling measure mu takes
 its place; in thinning mode the configuration simply shrinks.
 
+Selection draws go through ``_RowSumSampler``, which keeps the weights in
+rows of about sqrt(N) entries with one sum per row, so a draw costs
+O(sqrt N) rather than a cumulative sum over all N weights.  ``step()``
+builds one from ``SelectionSpec.weights`` on each call; ``run()`` keeps
+one up to date, setting only the weights of the cells a step changed and
+rebuilding it when thinning removes a point.  The sampler's state is a
+function of the weight vector alone, so ``run()`` chooses exactly the
+indices that the same seed gives a sequence of ``step()`` calls.
+
 Randomness discipline: the run seed feeds a ``numpy`` ``SeedSequence``
 that is split into one stream for the initial configuration and one for
 the chain, so runs are reproducible and sweeps can re-seed per cell.
@@ -224,15 +233,65 @@ class Trajectory:
         return len(self.steps)
 
 
-def _choose(w, rng):
-    """Inverse-CDF draw over unnormalized positive weights."""
-    c = np.cumsum(w)
-    tot = float(c[-1])
-    if not (tot > 0.0) or not math.isfinite(tot):
-        raise SelectionOutOfDomain(
-            "selection weights sum to a non-positive or non-finite value")
-    j = int(np.searchsorted(c, rng.random() * tot, side="right"))
-    return min(j, len(w) - 1)
+class _RowSumSampler:
+    """Inverse-CDF draws over nonnegative weights kept in rows with sums.
+
+    The weights sit in rows of B = 2**ceil(bit_length(n) / 2) entries (at
+    least 8), padded with zeros, and each row keeps its sum.  A draw takes
+    one ``rng.random()``, finds the row with a cumulative sum over the row
+    sums and the entry with a cumulative sum inside that row: O(sqrt n)
+    instead of O(n).  ``set`` recomputes the sums of the touched rows from
+    their entries with the reduction the constructor uses, never by adding
+    deltas, so the state is a function of the weight vector alone and a
+    maintained sampler draws exactly what a fresh one would.
+    """
+
+    def __init__(self, w):
+        self._load(np.asarray(w, dtype=float))
+
+    def _load(self, w):
+        n = len(w)
+        B = max(8, 1 << ((n.bit_length() + 1) // 2))
+        self.n = n
+        self.B = B
+        self.rows = np.zeros((-(-n // B), B))
+        self.flat = self.rows.reshape(-1)
+        self.flat[:n] = w
+        self.sums = self.rows.sum(axis=1)
+
+    @property
+    def weights(self):
+        return self.flat[:self.n]
+
+    def set(self, idx, values):
+        """Replace the weights at indices ``idx``."""
+        idx = np.asarray(idx)
+        self.flat[idx] = values
+        rows = idx // self.B  # a row touched twice gets the same sum twice
+        self.sums[rows] = self.rows[rows].sum(axis=1)
+
+    def delete(self, j):
+        """Drop entry j; later indices shift down as list deletion does."""
+        self._load(np.delete(self.weights, j))
+
+    def draw(self, rng):
+        # array methods rather than np.cumsum/np.searchsorted: this runs
+        # once per step, where their dispatch overhead doubles the cost
+        c = self.sums.cumsum()
+        tot = float(c[-1])
+        if not (tot > 0.0) or not math.isfinite(tot):
+            raise SelectionOutOfDomain(
+                "selection weights sum to a non-positive or non-finite value")
+        u = rng.random() * tot
+        r = int(c.searchsorted(u, side="right"))
+        if r == len(c):  # u rounds onto a subnormal total
+            r = int(np.flatnonzero(self.sums)[-1])
+        row = self.rows[r]
+        k = int(row.cumsum().searchsorted(u - (c[r - 1] if r else 0.0),
+                                          side="right"))
+        if k == self.B:  # past the row's own running total by rounding
+            k = int(np.flatnonzero(row)[-1])
+        return r * self.B + k
 
 
 def step(tess, sel, mode, rng, step_index=0):
@@ -240,12 +299,11 @@ def step(tess, sel, mode, rng, step_index=0):
 
     Returns the ``StepEvent``; the tessellation is updated in place.
     """
-    w = sel.weights(tess)
-    j = _choose(w, rng)
+    if mode == "thinning" and tess.n < 2:
+        raise ConfigError("thinning needs at least two points")
+    j = _RowSumSampler(sel.weights(tess)).draw(rng)
     removed = tess.points[j]
     if mode == "thinning":
-        if tess.n < 2:
-            raise ConfigError("thinning needs at least two points")
         tess.remove_point(j)
         return StepEvent(step_index, j, removed, None)
     space = tess.space
@@ -368,27 +426,21 @@ def run(params, observers=(), stop_when=None):
 
     snap(0)
     stopped_at = None
-    # the weight vector is maintained incrementally on exactly the values
-    # a full reevaluation would produce, so runs draw identically to a
-    # sequence of step() calls
-    use_vol = sel.uses_volumes
-    w = np.asarray(sel.evaluate(
-        tess.cell_volumes() if use_vol else tess.degrees()), dtype=float)
-    kind = sel.kind
-    alpha = sel.alpha
-    table = sel.values.tolist() if kind == "neighbor_table" else None
+    # the sampler holds the weights a full reevaluation would produce and
+    # its state depends on those weights alone, so run() draws exactly the
+    # indices a sequence of step() calls draws
+    sampler = _RowSumSampler(sel.weights(tess))
     sample = space.sample_mu
     pts = tess.points
-    values_at = tess.volumes_at if use_vol else tess.degrees_at
+    values_at = tess.volumes_at if sel.uses_volumes else tess.degrees_at
     thinning = mode == "thinning"
     every = params.snapshot_every
     n_ev = 0
     for t in range(1, T + 1):
-        j = _choose(w, rng)
+        j = sampler.draw(rng)
         rm = pts[j]
         if thinning:
             aff = tess.remove_point(j)
-            w = np.delete(w, j)
             ins = None
         else:
             for _ in range(_MAX_REDRAWS):
@@ -402,21 +454,13 @@ def run(params, observers=(), stop_when=None):
                 raise ConfigError("could not draw a replacement point "
                                   "distinct from the configuration")
             ins = pts[j]
-        if aff:
-            new = values_at(aff)
-            if kind == "volume_power":
-                w[list(aff)] = np.maximum(np.asarray(new, dtype=float),
-                                          _VOLUME_FLOOR) ** alpha
-            elif kind == "neighbor_table":
-                m = len(table)
-                for x in new:
-                    if x < 1 or x > m:
-                        raise SelectionOutOfDomain(
-                            f"neighbour count {x} outside the table "
-                            f"range 1..{m}")
-                w[list(aff)] = [table[x - 1] for x in new]
-            else:
-                w[list(aff)] = sel.evaluate(np.asarray(new, dtype=float))
+        # a lone survivor has no neighbours and is never selected again
+        done = thinning and tess.n == 1
+        if not done:
+            if thinning:
+                sampler.delete(j)
+            if aff:
+                sampler.set(aff, sel.evaluate(values_at(aff)))
         steps[n_ev] = t - 1
         chosen[n_ev] = j
         if dim == 1:
@@ -432,7 +476,6 @@ def run(params, observers=(), stop_when=None):
             ev = StepEvent(t - 1, j, rm, ins)
             for obs in observers:
                 obs(t, ev, tess)
-        done = thinning and tess.n == 1
         if t % every == 0 or t == T or done:
             snap(t)
             if stop_when is not None and stop_when(t, tess):

@@ -379,7 +379,9 @@ def estimate_drift(trajectory, region, min_bin_count=50,
     Raises
     ------
     InsufficientData
-        If no N_A value accumulates ``min_bin_count`` events.
+        If no N_A value accumulates ``min_bin_count`` events; after a
+        collapse cut the message names the collapse step and the number
+        of events kept.
     ConfigError
         If the trajectory does not come from a volume-power selection, or
         the region fills the whole sampling measure.
@@ -424,8 +426,10 @@ def estimate_drift(trajectory, region, min_bin_count=50,
     sums = np.bincount(pre, weights=dn.astype(float), minlength=top + 1)
     ok = counts >= int(min_bin_count)
     if not ok.any():
+        cut = "" if collapse is None else \
+            f" ({dn.size} events kept up to the collapse at step {collapse})"
         raise InsufficientData(
-            f"no N_A bin reaches {min_bin_count} events")
+            f"no N_A bin reaches {min_bin_count} events{cut}")
     na = np.nonzero(ok)[0].astype(float)
     means = sums[ok] / counts[ok]
     w = counts[ok].astype(float)

@@ -75,6 +75,21 @@ def test_simulate_2d_snapshot_raster(tmp_path):
     assert not os.path.exists(os.path.join(out, "drift.csv"))
 
 
+def test_simulate_thinning_to_one_survivor_skips_summary(tmp_path, capsys):
+    cfg = dict(CONFIG_1D)
+    cfg["process"] = dict(CONFIG_1D["process"], N=16, T=100,
+                          mode="thinning")
+    cfgp = _write_config(tmp_path, cfg)
+    out = str(tmp_path / "thin")
+    assert main(["simulate", "--config", cfgp, "--out-dir", out]) == 0
+    msg = capsys.readouterr().out
+    assert "events=15" in msg
+    assert "summary skipped (needs at least two points)" in msg
+    assert not os.path.exists(os.path.join(out, "summary.csv"))
+    # the drift step still runs on the thinning events
+    assert "fitted_K=" in msg or "drift skipped" in msg
+
+
 def test_seed_flag_overrides_and_is_reported(tmp_path, capsys):
     cfg = dict(CONFIG_1D)
     cfg["process"] = dict(CONFIG_1D["process"])

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from helpers import all_spaces, random_points
 from vorsim.errors import ConfigError, SelectionOutOfDomain
 from vorsim.process import (InitSpec, ProcessParams, SelectionSpec,
-                            initial_configuration, minorization_bound, run,
-                            selection_probabilities, step)
+                            _RowSumSampler, initial_configuration,
+                            minorization_bound, run, selection_probabilities,
+                            step)
 from vorsim.space import Space
-from vorsim.tessellation import build
+from vorsim.tessellation import Tessellation, build
 
 THREE_ON_CIRCLE = [0.0, 0.1, 0.5]  # cell volumes 0.30, 0.25, 0.45
 
@@ -234,3 +236,137 @@ def test_empirical_selection_frequencies_match_probabilities(circle):
     freq = counts / trials
     sigma = np.sqrt(want * (1 - want) / trials)
     assert np.all(np.abs(freq - want) < 4.0 * sigma)
+
+
+# -- the row-sum sampler shared by step() and run() -------------------------
+
+def _same_state(a, b):
+    return (a.n == b.n and a.B == b.B
+            and np.array_equal(a.rows, b.rows)
+            and a.sums.tobytes() == b.sums.tobytes())
+
+
+def test_sampler_maintained_equals_fresh_build():
+    rng = np.random.default_rng(40)
+    w = rng.random(300) ** 3
+    s = _RowSumSampler(w)
+    assert s.B == 32 and s.rows.shape == (10, 32)
+    for _ in range(200):
+        if rng.random() < 0.1 and s.n > 2:
+            s.delete(int(rng.integers(s.n)))
+        else:
+            idx = rng.choice(s.n, size=int(rng.integers(1, 8)),
+                             replace=False)
+            s.set(idx, rng.random(len(idx)) * 10.0 ** rng.integers(-8, 8))
+        assert _same_state(s, _RowSumSampler(s.weights.copy()))
+    assert s.n < 300
+
+
+class _FixedRandom:
+    """Stands in for a generator whose random() always returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sampler_never_draws_zero_weights_or_padding():
+    rng = np.random.default_rng(41)
+    w = rng.random(77)
+    w[rng.random(77) < 0.6] = 0.0
+    w[-3:] = 0.0  # the last row ends in zeros and padding
+    s = _RowSumSampler(w)
+    assert s.rows.size > s.n
+    got = {s.draw(rng) for _ in range(5000)}
+    assert got == set(np.flatnonzero(w).tolist())
+    top = _FixedRandom(1.0 - 2.0 ** -53)
+    assert s.draw(top) == int(np.flatnonzero(w)[-1])
+    assert s.draw(_FixedRandom(0.0)) == int(np.flatnonzero(w)[0])
+    # a subnormal total: the top of [0, 1) times it rounds onto the total
+    one = _RowSumSampler([0.0, 0.0, 1e-310, 0.0])
+    assert one.draw(top) == one.draw(_FixedRandom(0.0)) == 2
+    # a row sum above the row's running total, as rounding can leave it:
+    # a target past the running total takes the row's last positive entry
+    two = _RowSumSampler([1.0, 2.0, 0.0] + [0.0] * 5 + [4.0])
+    two.sums[0] = 3.5
+    assert two.draw(_FixedRandom(3.25 / 7.5)) == 1
+    assert two.draw(_FixedRandom(3.75 / 7.5)) == 8
+
+
+def test_sampler_rejects_zero_or_nonfinite_totals():
+    rng = np.random.default_rng(42)
+    for w in ([0.0, 0.0, 0.0], [1.0, np.inf, 2.0], [1.0, np.nan],
+              np.full(40, 1e308)):
+        with pytest.raises(SelectionOutOfDomain) as err, \
+                np.errstate(over="ignore"):
+            _RowSumSampler(w).draw(rng)
+        assert "non-positive or non-finite" in str(err.value)
+
+
+def test_sampler_draws_follow_weights_chi_square():
+    rng = np.random.default_rng(43)
+    n, draws = 10_000, 200_000
+    w = 0.5 + rng.random(n)
+    s = _RowSumSampler(w)
+    counts = np.bincount([s.draw(rng) for _ in range(draws)], minlength=n)
+    assert counts.sum() == draws
+    _, p = chisquare(counts, draws * w / w.sum())
+    assert p > 1e-3
+
+
+def _chosen_by_steps(params):
+    # the seeding of run(): split the seed, draw the start, step by hand
+    init_ss, chain_ss = np.random.SeedSequence(params.seed).spawn(2)
+    init_rng = np.random.Generator(np.random.PCG64(init_ss))
+    rng = np.random.Generator(np.random.PCG64(chain_ss))
+    pts = initial_configuration(params.space, params.N, params.init,
+                                init_rng)
+    tess = Tessellation.build(pts, params.space)
+    out = []
+    for t in range(params.T):
+        if params.mode == "thinning" and tess.n < 2:
+            break
+        out.append(step(tess, params.selection, params.mode, rng, t).chosen_j)
+    return out
+
+
+SELECTIONS = (
+    SelectionSpec("volume_power", alpha=0.5),
+    SelectionSpec("volume_power", alpha=3.0),
+    SelectionSpec("volume_table", breakpoints=[0.0, 0.02, 0.06, 1.01],
+                  values=[1.0, 2.5, 4.0]),
+    SelectionSpec("neighbor_table", values=[float(d) for d in range(1, 33)]),
+)
+
+
+@pytest.mark.parametrize("mode", ("replacement", "thinning"))
+@pytest.mark.parametrize("sel", SELECTIONS,
+                         ids=("power0.5", "power3", "table", "neighbors"))
+def test_run_chooses_what_a_step_sequence_chooses(sel, mode):
+    for kind in ("circle", "torus"):
+        params = ProcessParams(N=30, T=45, mode=mode, selection=sel,
+                               space=Space(kind, 1.0), seed=11,
+                               snapshot_every=16)
+        tr = run(params)
+        assert tr.chosen.tolist() == _chosen_by_steps(params), kind
+
+
+def test_neighbor_table_thinning_reaches_one_survivor():
+    sel = SelectionSpec("neighbor_table",
+                        values=[float(d) for d in range(1, 33)])
+    for space in all_spaces():
+        params = ProcessParams(N=20, T=100, mode="thinning", selection=sel,
+                               space=space, seed=0, snapshot_every=8)
+        tr = run(params)
+        assert tr.n_events == 19, space.kind
+        assert len(tr.final_points) == 1
+        assert tr.snapshots[-1].step == 19
+
+
+def test_step_thinning_refuses_a_lone_point(circle):
+    t = build([0.3], circle)
+    sel = SelectionSpec("neighbor_table", values=[1.0])
+    with pytest.raises(ConfigError):
+        step(t, sel, "thinning", np.random.default_rng(0))

@@ -284,3 +284,18 @@ def test_drift_estimate_thinning_has_no_insertion_mass(circle):
     # pure thinning only ever loses points from the region
     assert np.all(est.bins[:, 1] <= 0.0)
     assert np.isnan(est.comparator_K)
+
+
+def test_drift_message_names_the_collapse_cut(torus):
+    # a cluster is collapsed from snapshot 0, so only the step-0 event stays
+    params = ProcessParams(N=64, T=12, mode="replacement",
+                           selection=SelectionSpec("volume_power", alpha=3.0),
+                           space=torus,
+                           init={"kind": "single_cluster", "radius": 0.05},
+                           seed=0, snapshot_every=1024)
+    tr = run(params)
+    with pytest.raises(InsufficientData) as err:
+        estimate_drift(tr, TestRegion(torus, (0.0, 0.5, 0.0, 0.5)))
+    msg = str(err.value)
+    assert "no N_A bin reaches 50 events" in msg
+    assert "1 events kept up to the collapse at step 0" in msg
