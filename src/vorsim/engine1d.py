@@ -2,28 +2,24 @@
 
 Cells in one dimension are arcs (or segments) bounded by midpoints to the
 adjacent generators in sorted order, so the whole structure is a sorted list
-of (position, id) keys plus an id -> position map.  Updates are a bisect
-plus a memmove; no fallback paths are needed.
+of (position, id) keys plus an id -> position map.  The tessellation sorts
+the points once when it builds the structure, and fills every cell from that
+sort in one vectorised pass; afterwards each update is a bisect plus a
+memmove, and only the cells it reports are recomputed, one at a time from
+``neighbors_at`` and ``cell_bounds``.  No fallback paths are needed.
 """
 
 from bisect import bisect_left, insort
 
 
 class Engine1D:
-    def __init__(self, L, periodic, positions):
-        """positions: dict id -> coordinate in the canonical chart."""
+    def __init__(self, L, periodic, positions, keys):
+        """positions: dict id -> coordinate in the canonical chart;
+        keys: the (coordinate, id) pairs of ``positions`` in sorted order."""
         self.L = L
         self.periodic = periodic
-        self.pos = dict(positions)
-        self.keys = sorted((x, i) for i, x in self.pos.items())
-
-    def clone(self):
-        other = Engine1D.__new__(Engine1D)
-        other.L = self.L
-        other.periodic = self.periodic
-        other.pos = dict(self.pos)
-        other.keys = list(self.keys)
-        return other
+        self.pos = positions
+        self.keys = keys
 
     def index_of(self, v):
         k = (self.pos[v], v)
@@ -92,14 +88,3 @@ class Engine1D:
         a = 0.0 if i == 0 else (keys[i - 1][0] + x) / 2.0
         b = L if i == k - 1 else (x + keys[i + 1][0]) / 2.0
         return (a, b)
-
-    def volume(self, v):
-        """Length of the cell of v (uniform density)."""
-        L = self.L
-        k = len(self.keys)
-        if k == 1:
-            return L
-        a, b = self.cell_bounds(v)
-        if self.periodic:
-            return (b - a) % L
-        return b - a

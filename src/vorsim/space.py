@@ -86,6 +86,9 @@ class Space:
         if self.dim == 1:
             x = float(point)
             if self.periodic:
+                # nan and inf would wrap to nan and pass as a coordinate
+                if not math.isfinite(x):
+                    raise ConfigError(f"point {x!r} is not finite")
                 x = x % L
                 return 0.0 if x == L else x
             if not (0.0 <= x <= L):
@@ -93,6 +96,8 @@ class Space:
             return x
         x, y = float(point[0]), float(point[1])
         if self.periodic:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ConfigError(f"point {(x, y)!r} is not finite")
             x %= L
             y %= L
             return (0.0 if x == L else x, 0.0 if y == L else y)

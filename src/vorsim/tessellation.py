@@ -8,6 +8,12 @@ backends answer the same questions: cell volumes under the reference
 density, neighbour sets over shared positive-length cell boundaries, and
 which cells changed after replacing or removing a point.
 
+In one dimension the build sorts the points once; that sort serves the
+duplicate check, the engine's key list and one vectorised pass that fills
+every cell, so a fresh tessellation has no stale cell.  Later updates
+recompute only the cells they change, one at a time, with the same float
+operations, so a cell reads the same bits whichever path computed it.
+
 Cells are addressed by their index in the configuration.  ``replace_point``
 keeps indices stable; ``remove_point`` shifts the indices above the removed
 one down by one, as list deletion does.
@@ -29,14 +35,29 @@ EDGE_EPS_REL = 1e-12
 
 
 def _canonical_points(points, space):
+    """Canonical copies of the points, checked for coincident pairs.
+
+    Returns the points and, in one dimension, the stable argsort of their
+    coordinates, which the sorted1d backend is built from (None in 2D).
+    """
     pts = [space.canonicalize(p) for p in points]
     if not pts:
         raise ConfigError("a configuration needs at least one point")
+    if space.dim == 1:
+        xs = np.array(pts)
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        same = np.flatnonzero(xs[1:] == xs[:-1])
+        if same.size:
+            k = int(same[0])
+            raise DuplicatePoints(f"points {int(order[k])} and "
+                                  f"{int(order[k + 1])} coincide")
+        return pts, order
     order = sorted(range(len(pts)), key=lambda i: pts[i])
     for a, b in zip(order, order[1:]):
         if pts[a] == pts[b]:
             raise DuplicatePoints(f"points {a} and {b} coincide")
-    return pts
+    return pts, None
 
 
 class Tessellation:
@@ -46,7 +67,7 @@ class Tessellation:
     def build(cls, points, space):
         self = cls.__new__(cls)
         self.space = space
-        self.points = _canonical_points(points, space)
+        self.points, order = _canonical_points(points, space)
         self._eps2 = (EDGE_EPS_REL * space.size) ** 2
         self._vol = {}
         self._nbr = {}
@@ -54,7 +75,7 @@ class Tessellation:
         # (the common case along a chain) skip the adjacency bookkeeping
         self._dirty_vol = set()
         self._dirty_nbr = set()
-        self._install_backend()
+        self._install_backend(order)
         return self
 
     @property
@@ -65,25 +86,33 @@ class Tessellation:
     def backend(self):
         return self._backend
 
-    def _install_backend(self):
-        """(Re)build the backing structure from the current points."""
+    def _install_backend(self, order=None):
+        """(Re)build the backing structure from the current points.
+
+        ``order`` is the argsort from ``_canonical_points``; only the 1D
+        backend, which is built once and never rebuilt, needs it.
+        """
         pts = self.points
         n = len(pts)
-        self._eid = list(range(n))
-        self._cfg = dict(zip(self._eid, range(n)))
+        self._eid = eid = list(range(n))
+        self._cfg = dict(zip(eid, range(n)))
         self._vol.clear()
         self._nbr.clear()
-        self._dirty_vol = set(range(n))
-        self._dirty_nbr = set(range(n))
         space = self.space
         self._bounded = not space.periodic
         self._collect2 = self._bounded or space.density is not None
         if space.dim == 1:
             self._eng = Engine1D(space.size, space.periodic,
-                                 dict(enumerate(pts)))
+                                 dict(zip(eid, pts)),
+                                 [(pts[i], eid[i]) for i in order.tolist()])
             self._backend = "sorted1d"
             self._ghosts = frozenset()
+            self._dirty_vol = set()
+            self._dirty_nbr = set()
+            self._fill_1d(order)
             return
+        self._dirty_vol = set(range(n))
+        self._dirty_nbr = set(range(n))
         eng = None
         if not (space.periodic and n < 3):
             eng = build_engine(pts, space.size, space.periodic)
@@ -195,7 +224,8 @@ class Tessellation:
             dirty = self._dirty_vol
         else:
             dirty = self._dirty_vol | self._dirty_nbr
-        todo = dirty if eids is None else set(eids) & dirty
+        # a copy: ``todo`` must outlive the removals from the dirty sets
+        todo = set(dirty) if eids is None else set(eids) & dirty
         if not todo:
             return
         if self._backend == "clip2d":
@@ -219,6 +249,59 @@ class Tessellation:
                 self._cell_2d(v, True)
             self._dirty_vol -= todo
             self._dirty_nbr -= todo
+
+    def _fill_1d(self, order):
+        """Every cell of a fresh sorted1d backend in one vectorised pass.
+
+        ``order`` sorts the points.  Bounds and volumes use the float
+        operations of ``_cell_1d`` (numpy's float ``mod`` rounds as
+        Python's ``%`` does), and the caches are filled in id order, as
+        ``cell_volumes`` reads them.
+        """
+        space = self.space
+        eid = self._eid
+        n = len(eid)
+        if n == 1:
+            self._vol[eid[0]] = space.total_measure("lambda")
+            self._nbr[eid[0]] = ()
+            return
+        L = space.size
+        xs = np.array(self.points)[order]
+        if space.periodic:
+            # the far end of each cell is the near end of the next one
+            mid = xs + np.mod(np.roll(xs, -1) - xs, L) / 2.0
+            a = np.mod(np.roll(mid, 1), L)
+            b = np.mod(mid, L)
+        else:
+            mid = (xs[:-1] + xs[1:]) / 2.0
+            a = np.concatenate(([0.0], mid))
+            b = np.concatenate((mid, [L]))
+        if space.density is None:
+            vol = np.mod(b - a, L) if space.periodic else b - a
+        else:
+            measure = space.region_measure
+            vol = np.array([measure(ab, "lambda")
+                            for ab in zip(a.tolist(), b.tolist())])
+        by_id = np.empty(n)
+        by_id[order] = vol
+        self._vol.update(zip(eid, by_id.tolist()))
+        left = np.roll(order, 1)
+        right = np.roll(order, -1)
+        lo = np.empty_like(order)
+        hi = np.empty_like(order)
+        lo[order] = np.minimum(left, right)
+        hi[order] = np.maximum(left, right)
+        # neighbour tuples hold the id objects of ``_eid``, not fresh ints
+        ids = eid.__getitem__
+        if n == 2:
+            nbr = ((ids(e),) for e in lo.tolist())
+        else:
+            nbr = zip(map(ids, lo.tolist()), map(ids, hi.tolist()))
+        self._nbr.update(zip(eid, nbr))
+        if not space.periodic and n > 2:
+            first, last = int(order[0]), int(order[-1])
+            self._nbr[eid[first]] = (eid[int(order[1])],)
+            self._nbr[eid[last]] = (eid[int(order[-2])],)
 
     def _cell_1d(self, v):
         eng = self._eng

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import all_spaces, neighbor_pairs, random_points
 from vorsim.errors import DuplicatePoints
+from vorsim.space import Space
 from vorsim.tessellation import build, replace_point
 
 
@@ -33,6 +34,32 @@ def test_replacements_match_rebuild_small():
 def test_replacements_match_rebuild_medium(torus, square):
     _drive(torus, 60, 25, seed=22)
     _drive(square, 60, 25, seed=23)
+
+
+@pytest.mark.parametrize("kind", ["circle", "interval"])
+@pytest.mark.parametrize("grid", [None, [1.0, 3.0, 0.5, 2.0]])
+def test_incremental_1d_caches_equal_a_fresh_build(kind, grid):
+    space = Space(kind, 1.0, density=grid)
+    rng = np.random.default_rng(29)
+    t = build(random_points(rng, space, 80), space)
+    for _ in range(200):
+        j = int(rng.integers(t.n))
+        if t.n > 2 and rng.random() < 0.2:
+            t.remove_point(j)
+        else:
+            try:
+                t.replace_point(j, random_points(rng, space, 1)[0])
+            except DuplicatePoints:
+                continue
+        # read some cells between updates, as a chain does
+        t.volumes_at(range(0, t.n, 7))
+    t.degrees()
+    assert not t._dirty_vol and not t._dirty_nbr
+    fresh = build(list(t.points), space)
+    cfg = t._cfg
+    assert {j: t._vol[e] for j, e in enumerate(t._eid)} == fresh._vol
+    assert {j: tuple(sorted(cfg[u] for u in t._nbr[e]))
+            for j, e in enumerate(t._eid)} == fresh._nbr
 
 
 def test_module_level_replace_reports_affected_cells(circle):

@@ -24,6 +24,15 @@ def test_canonicalize_periodic_wrap(circle, torus):
     assert (x, y) == pytest.approx((0.5, 0.5))
 
 
+def test_canonicalize_rejects_non_finite_points(circle, interval, square,
+                                                torus):
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for space, p in ((circle, bad), (interval, bad),
+                         (square, (0.5, bad)), (torus, (bad, 0.5))):
+            with pytest.raises(ConfigError):
+                space.canonicalize(p)
+
+
 def test_canonicalize_bounded_rejects_outside(interval, square):
     assert interval.canonicalize(1.0) == 1.0
     with pytest.raises(ConfigError):

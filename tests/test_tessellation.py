@@ -6,7 +6,7 @@ import pytest
 from helpers import all_spaces, neighbor_pairs, random_points
 from vorsim.errors import ConfigError, DuplicatePoints
 from vorsim.space import Space
-from vorsim.tessellation import build, oracle_cell_stats
+from vorsim.tessellation import Tessellation, build, oracle_cell_stats
 
 
 def test_circle_three_point_frozen_volumes(circle):
@@ -85,10 +85,56 @@ def test_duplicate_points_rejected(circle, square):
     with pytest.raises(DuplicatePoints):
         build([0.1, 0.1], circle)
     # 1.0 wraps onto 0.0 on the circle
-    with pytest.raises(DuplicatePoints):
+    with pytest.raises(DuplicatePoints, match="points 0 and 1 coincide"):
         build([0.0, 1.0], circle)
+    # the first coinciding pair in sorted order, lower index first
+    with pytest.raises(DuplicatePoints, match="points 2 and 4 coincide"):
+        build([0.5, 0.3, 0.1, 0.3, 0.1], circle)
     with pytest.raises(DuplicatePoints):
         build([(0.2, 0.2), (0.2, 0.2)], square)
+
+
+def _spaces_1d():
+    return [Space(kind, 1.0, density=grid)
+            for kind in ("circle", "interval")
+            for grid in (None, [1.0, 3.0, 0.5, 2.0])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+def test_build_fills_1d_cells_as_the_per_cell_refresh(n):
+    rng = np.random.default_rng(40 + n)
+    for space in _spaces_1d():
+        t = build(random_points(rng, space, n), space)
+        assert not t._dirty_vol and not t._dirty_nbr
+        vol, nbr = dict(t._vol), dict(t._nbr)
+        # id order, the order cell_volumes reads the caches in
+        assert list(vol) == list(nbr) == t._eid
+        for e in t._eid:
+            t._cell_1d(e)
+        assert t._vol == vol
+        assert t._nbr == nbr
+        assert np.array(list(t._vol.values())).tobytes() == \
+            np.array(list(vol.values())).tobytes()
+
+
+def test_volumes_then_degrees_refresh_each_changed_cell_once(circle,
+                                                            monkeypatch):
+    rng = np.random.default_rng(41)
+    t = build(random_points(rng, circle, 50), circle)
+    calls = []
+    cell = Tessellation._cell_1d
+
+    def counted(self, v):
+        calls.append(v)
+        return cell(self, v)
+
+    monkeypatch.setattr(Tessellation, "_cell_1d", counted)
+    changed = t.replace_point(7, 0.123456)
+    t.cell_volumes()
+    assert sorted(calls) == sorted(t._eid[j] for j in changed)
+    calls.clear()
+    t.degrees()
+    assert calls == []
 
 
 def test_empty_configuration_rejected(circle):
