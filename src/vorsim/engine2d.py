@@ -358,39 +358,6 @@ class Engine2D:
     # ------------------------------------------------------------------
     # deletion
 
-    def _star(self, v):
-        """Walk the star of v: list of (t, corner_slot_of_v, sx, sy), CCW."""
-        TRI, NBR = self.TRI, self.NBR
-        NXT = _NXT
-        t0, c0 = self.incident.get(v, (None, None))
-        if t0 is None:
-            raise Abort2D("vertex has no incidence pointer")
-        tri = TRI[t0]
-        if tri is None or tri[c0] != v:
-            raise Abort2D("stale incidence pointer")
-        cap = self._local_cap()
-        star = [(t0, c0, 0, 0)]
-        t, c, sx, sy = t0, c0, 0, 0
-        while True:
-            e = NXT[c]
-            rec = NBR[t][e]
-            if rec is None:
-                raise Abort2D("star touches the outer boundary")
-            t2, e2, dx, dy = rec
-            c2 = NXT[e2]
-            sx2, sy2 = sx + dx, sy + dy
-            tri2 = TRI[t2]
-            if tri2 is None or tri2[c2] != v:
-                raise Abort2D("adjacency walk lost the vertex")
-            if (t2, c2) == (t0, c0):
-                if (sx2, sy2) != (0, 0):
-                    raise Abort2D("star wraps around the torus")
-                return star
-            t, c, sx, sy = t2, c2, sx2, sy2
-            star.append((t, c, sx, sy))
-            if len(star) > cap:
-                raise Abort2D("star too large")
-
     def delete(self, v):
         """Remove vertex v, retriangulating its link; returns affected ids."""
         TRI, NBR = self.TRI, self.NBR
@@ -587,26 +554,6 @@ class Engine2D:
 
     # ------------------------------------------------------------------
     # cell extraction
-
-    def star_data(self, v):
-        """Ring ids and circumcenter polygon around v, both in CCW order.
-
-        Returns ``(ring_ids, cc_points)`` where ``cc_points[k]`` is the
-        circumcenter of the k-th star triangle lifted into the walk frame and
-        the Voronoi edge dual to generator ``ring_ids[j]`` is the segment
-        from ``cc_points[j-1]`` to ``cc_points[j]``.
-        """
-        star = self._star(v)
-        TRI, CC, L = self.TRI, self.CC, self.L
-        ring_ids = []
-        ccs = []
-        for (t, c, sx, sy) in star:
-            tri = TRI[t]
-            k1 = (c + 1) % 3
-            ring_ids.append(tri[k1])
-            cc = CC[t]
-            ccs.append((cc[0] + sx * L, cc[1] + sy * L))
-        return ring_ids, ccs
 
     def cell_scan(self, v, eps2, ghosts=_EMPTY, bounded=False,
                   want_nbrs=True, collect=True):

@@ -164,17 +164,6 @@ def clip_polygon_halfplane(pts, labels, nx, ny, c, new_label):
     return out_p, out_l
 
 
-def edge_lengths(pts):
-    """Length of each polygon edge pts[i] -> pts[i+1]."""
-    n = len(pts)
-    out = []
-    for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
-        out.append(math.hypot(x2 - x1, y2 - y1))
-    return out
-
-
 def _grid_cell_overlap(pts, grid, L):
     """Integral of a piecewise-constant grid over a polygon within [0, L]^2."""
     if not pts:

@@ -6,6 +6,11 @@ of the neighbour count for n-processes.  The selected point is removed
 and, in replacement mode, a fresh draw from the sampling measure mu takes
 its place; in thinning mode the configuration simply shrinks.
 
+That transition is one kernel, ``_transition``: it removes the selected
+point, or moves it to a draw from mu and redraws when the draw coincides
+with another point.  ``step()`` and ``run()`` both call it; they differ
+only in how they keep the selection weights.
+
 Selection draws go through ``_RowSumSampler``, which keeps the weights in
 rows of about sqrt(N) entries with one sum per row, so a draw costs
 O(sqrt N) rather than a cumulative sum over all N weights.  ``step()``
@@ -294,28 +299,39 @@ class _RowSumSampler:
         return r * self.B + k
 
 
+def _transition(tess, j, thinning, rng):
+    """Remove point j when thinning; otherwise move it to a fresh draw from
+    mu, redrawing a draw that coincides with another point.
+
+    Returns the indices whose cells changed.  ``step()`` and ``run()``
+    both make their transitions here.
+    """
+    if thinning:
+        return tess.remove_point(j)
+    sample = tess.space.sample_mu
+    for _ in range(_MAX_REDRAWS):
+        z = sample(rng)
+        try:
+            return tess.replace_point(j, z)
+        except DuplicatePoints:
+            continue
+    raise ConfigError("could not draw a replacement point distinct from "
+                      "the configuration")
+
+
 def step(tess, sel, mode, rng, step_index=0):
     """One transition: select, remove, and (in replacement mode) re-insert.
 
     Returns the ``StepEvent``; the tessellation is updated in place.
     """
-    if mode == "thinning" and tess.n < 2:
+    thinning = mode == "thinning"
+    if thinning and tess.n < 2:
         raise ConfigError("thinning needs at least two points")
     j = _RowSumSampler(sel.weights(tess)).draw(rng)
     removed = tess.points[j]
-    if mode == "thinning":
-        tess.remove_point(j)
-        return StepEvent(step_index, j, removed, None)
-    space = tess.space
-    for _ in range(_MAX_REDRAWS):
-        z = space.sample_mu(rng)
-        try:
-            tess.replace_point(j, z)
-        except DuplicatePoints:
-            continue
-        return StepEvent(step_index, j, removed, tess.points[j])
-    raise ConfigError("could not draw a replacement point distinct from "
-                      "the configuration")
+    _transition(tess, j, thinning, rng)
+    return StepEvent(step_index, j, removed,
+                     None if thinning else tess.points[j])
 
 
 def initial_configuration(space, N, init, rng):
@@ -430,7 +446,6 @@ def run(params, observers=(), stop_when=None):
     # its state depends on those weights alone, so run() draws exactly the
     # indices a sequence of step() calls draws
     sampler = _RowSumSampler(sel.weights(tess))
-    sample = space.sample_mu
     pts = tess.points
     values_at = tess.volumes_at if sel.uses_volumes else tess.degrees_at
     thinning = mode == "thinning"
@@ -439,21 +454,8 @@ def run(params, observers=(), stop_when=None):
     for t in range(1, T + 1):
         j = sampler.draw(rng)
         rm = pts[j]
-        if thinning:
-            aff = tess.remove_point(j)
-            ins = None
-        else:
-            for _ in range(_MAX_REDRAWS):
-                z = sample(rng)
-                try:
-                    aff = tess.replace_point(j, z)
-                    break
-                except DuplicatePoints:
-                    continue
-            else:
-                raise ConfigError("could not draw a replacement point "
-                                  "distinct from the configuration")
-            ins = pts[j]
+        aff = _transition(tess, j, thinning, rng)
+        ins = None if thinning else pts[j]
         # a lone survivor has no neighbours and is never selected again
         done = thinning and tess.n == 1
         if not done:
@@ -463,14 +465,10 @@ def run(params, observers=(), stop_when=None):
                 sampler.set(aff, sel.evaluate(values_at(aff)))
         steps[n_ev] = t - 1
         chosen[n_ev] = j
-        if dim == 1:
-            removed[n_ev, 0] = rm
-            if not thinning:
-                inserted[n_ev, 0] = ins
-        else:
-            removed[n_ev] = rm
-            if not thinning:
-                inserted[n_ev] = ins
+        # a 1D point is a float, which fills its (1,)-row
+        removed[n_ev] = rm
+        if not thinning:
+            inserted[n_ev] = ins
         n_ev += 1
         if observers:
             ev = StepEvent(t - 1, j, rm, ins)

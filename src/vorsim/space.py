@@ -1,4 +1,4 @@
-"""State spaces: canonical charts, geodesic metric, reference and sampling measures.
+"""State spaces: canonical charts, reference and sampling measures.
 
 Four space kinds are supported: ``circle`` and ``interval`` (one
 coordinate), ``square`` and ``torus`` (two coordinates).  Periodic axes use
@@ -206,29 +206,3 @@ class Space:
                 p = (rng.random() * L, rng.random() * L)
             if rng.random() * dmax < self.density_at(p, grid):
                 return p
-
-
-def distance(space, a, b):
-    """Geodesic distance between canonical points of the space."""
-    L = space.size
-    if space.dim == 1:
-        d = abs(float(a) - float(b))
-        if space.periodic:
-            d = min(d, L - d)
-        return d
-    dx = abs(a[0] - b[0])
-    dy = abs(a[1] - b[1])
-    if space.periodic:
-        dx = min(dx, L - dx)
-        dy = min(dy, L - dy)
-    return math.hypot(dx, dy)
-
-
-def sample_mu(space, rng):
-    """Module-level alias of :meth:`Space.sample_mu`."""
-    return space.sample_mu(rng)
-
-
-def total_measure(space):
-    """Module-level alias of :meth:`Space.total_measure`."""
-    return space.total_measure()

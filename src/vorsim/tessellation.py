@@ -13,6 +13,14 @@ duplicate check, the engine's key list and one vectorised pass that fills
 every cell, so a fresh tessellation has no stale cell.  Later updates
 recompute only the cells they change, one at a time, with the same float
 operations, so a cell reads the same bits whichever path computed it.
+The fallback backend clips every cell when it is built, so it has no
+stale cell either.
+
+A cell changed by an update is recomputed when it is next read, and
+every read goes through ``_refresh``: ``volumes_at``/``degrees_at`` for
+the cells a step changed, ``cell_volumes``/``degrees`` and the other
+whole views for all stale cells.  Volumes and neighbour sets go stale
+separately, so a volume-only read can skip the adjacency work.
 
 Cells are addressed by their index in the configuration.  ``replace_point``
 keeps indices stable; ``remove_point`` shifts the indices above the removed
@@ -71,10 +79,6 @@ class Tessellation:
         self._eps2 = (EDGE_EPS_REL * space.size) ** 2
         self._vol = {}
         self._nbr = {}
-        # volumes and neighbour sets age independently: volume-only reads
-        # (the common case along a chain) skip the adjacency bookkeeping
-        self._dirty_vol = set()
-        self._dirty_nbr = set()
         self._install_backend(order)
         return self
 
@@ -101,29 +105,30 @@ class Tessellation:
         space = self.space
         self._bounded = not space.periodic
         self._collect2 = self._bounded or space.density is not None
+        self._ghosts = frozenset()
+        # volumes and neighbour sets age independently: volume-only reads
+        # (the common case along a chain) skip the adjacency bookkeeping
+        self._dirty_vol = set()
+        self._dirty_nbr = set()
         if space.dim == 1:
             self._eng = Engine1D(space.size, space.periodic,
                                  dict(zip(eid, pts)),
                                  [(pts[i], eid[i]) for i in order.tolist()])
             self._backend = "sorted1d"
-            self._ghosts = frozenset()
-            self._dirty_vol = set()
-            self._dirty_nbr = set()
             self._fill_1d(order)
             return
-        self._dirty_vol = set(range(n))
-        self._dirty_nbr = set(range(n))
         eng = None
         if not (space.periodic and n < 3):
             eng = build_engine(pts, space.size, space.periodic)
-        if eng is not None:
-            self._eng = eng
-            self._backend = "delaunay2d"
-            self._ghosts = eng.ghosts
-        else:
-            self._eng = None
+        self._eng = eng
+        if eng is None:
             self._backend = "clip2d"
-            self._ghosts = frozenset()
+            self._clip_all()
+            return
+        self._backend = "delaunay2d"
+        self._ghosts = eng.ghosts
+        self._dirty_vol = set(range(n))
+        self._dirty_nbr = set(range(n))
 
     # ------------------------------------------------------------------
     # mutation
@@ -138,9 +143,18 @@ class Tessellation:
         if dup:
             raise DuplicatePoints(f"point {p!r} is already a generator")
 
-    def _cfg_indices(self, eids):
+    def _changed(self, aff):
+        """Mark the cells of engine ids ``aff`` stale; returns their indices."""
+        aff -= self._ghosts
+        self._dirty_vol |= aff
+        self._dirty_nbr |= aff
         cfg = self._cfg
-        return tuple(sorted(cfg[e] for e in eids))
+        return tuple(sorted(cfg[e] for e in aff))
+
+    def _rebuild(self):
+        """Rebuild the backend; every cell counts as changed."""
+        self._install_backend()
+        return tuple(range(len(self.points)))
 
     def replace_point(self, j, new_point):
         """Move point j; returns the indices whose cells changed."""
@@ -153,30 +167,22 @@ class Tessellation:
         self._check_duplicate(p)
         self.points[j] = p
         e = self._eid[j]
+        eng = self._eng
         if self._backend == "sorted1d":
-            aff = self._eng.delete(e)
-            aff |= self._eng.insert(e, p)
-            aff.add(e)
-            self._dirty_vol |= aff
-            self._dirty_nbr |= aff
-            return self._cfg_indices(aff)
-        if self._backend == "delaunay2d":
-            eng = self._eng
+            aff = eng.delete(e)
+            aff |= eng.insert(e, p)
+        elif self._backend == "delaunay2d":
             try:
                 aff = eng.delete(e)
                 eng.X[e] = p[0]
                 eng.Y[e] = p[1]
                 aff |= eng.insert(e)
             except Abort2D:
-                self._install_backend()
-                return tuple(range(n))
-            aff.add(e)
-            aff -= self._ghosts
-            self._dirty_vol |= aff
-            self._dirty_nbr |= aff
-            return self._cfg_indices(aff)
-        self._install_backend()
-        return tuple(range(n))
+                return self._rebuild()
+        else:
+            return self._rebuild()
+        aff.add(e)
+        return self._changed(aff)
 
     def remove_point(self, j):
         """Delete point j from the configuration (thinning step)."""
@@ -194,61 +200,42 @@ class Tessellation:
         self._dirty_vol.discard(e)
         self._dirty_nbr.discard(e)
         if self._backend == "sorted1d":
+            return self._changed(self._eng.delete(e))
+        if self._backend == "clip2d" or (self.space.periodic and n < 4):
+            return self._rebuild()
+        try:
             aff = self._eng.delete(e)
-            self._dirty_vol |= aff
-            self._dirty_nbr |= aff
-            return self._cfg_indices(aff)
-        if self._backend == "delaunay2d":
-            if self.space.periodic and len(self.points) < 3:
-                self._install_backend()
-                return tuple(range(n - 1))
-            try:
-                aff = self._eng.delete(e)
-            except Abort2D:
-                self._install_backend()
-                return tuple(range(n - 1))
-            aff.discard(e)
-            aff -= self._ghosts
-            self._dirty_vol |= aff
-            self._dirty_nbr |= aff
-            return self._cfg_indices(aff)
-        self._install_backend()
-        return tuple(range(n - 1))
+        except Abort2D:
+            return self._rebuild()
+        aff.discard(e)
+        return self._changed(aff)
 
     # ------------------------------------------------------------------
     # cell statistics
 
-    def _refresh(self, eids=None, need="both"):
-        vol_only = need == "vol"
-        if vol_only:
-            dirty = self._dirty_vol
-        else:
-            dirty = self._dirty_vol | self._dirty_nbr
-        # a copy: ``todo`` must outlive the removals from the dirty sets
-        todo = set(dirty) if eids is None else set(eids) & dirty
-        if not todo:
-            return
-        if self._backend == "clip2d":
-            self._clip_all()
-            self._dirty_vol = set()
-            self._dirty_nbr = set()
-            return
-        if self._backend == "sorted1d":
-            for v in list(todo):
-                self._cell_1d(v)
-            self._dirty_vol -= todo
-            self._dirty_nbr -= todo
-            return
-        if vol_only:
-            for v in list(todo):
-                if self._cell_2d(v, False):
-                    self._dirty_nbr.discard(v)
-            self._dirty_vol -= todo
-        else:
-            for v in list(todo):
-                self._cell_2d(v, True)
-            self._dirty_vol -= todo
-            self._dirty_nbr -= todo
+    def _refresh(self, es, want_nbrs):
+        """Recompute the stale cells among engine ids ``es``.
+
+        A cell is stale for volume reads while in ``_dirty_vol`` and for
+        neighbour reads while in ``_dirty_nbr`` (which holds every id of
+        ``_dirty_vol``).  Recomputing a cell always stores its volume; it
+        leaves ``_dirty_nbr`` when its neighbours were stored too, which
+        1D cells always do and 2D cells do when ``_cell_2d`` says so.
+        """
+        dirty_vol = self._dirty_vol
+        dirty_nbr = self._dirty_nbr
+        dirty = dirty_nbr if want_nbrs else dirty_vol
+        one_d = self._backend == "sorted1d"
+        for e in es:
+            if e in dirty:
+                if one_d:
+                    self._cell_1d(e)
+                    stored = True
+                else:
+                    stored = self._cell_2d(e, want_nbrs)
+                dirty_vol.discard(e)
+                if stored:
+                    dirty_nbr.discard(e)
 
     def _fill_1d(self, order):
         """Every cell of a fresh sorted1d backend in one vectorised pass.
@@ -377,11 +364,24 @@ class Tessellation:
         if flags & 8:
             poly, clabels = clip_polygon_halfplane(poly, clabels,
                                                    0.0, 1.0, L, BOUNDARY)
+        self._vol[v], self._nbr[v] = self._polygon_cell(v, poly, clabels)
+        return True
+
+    def _polygon_cell(self, v, poly, labels):
+        """Volume and sorted neighbour tuple of the clipped cell polygon of v.
+
+        ``labels[k]`` names the generator across the edge from ``poly[k]``
+        to ``poly[k+1]``; edges on the boundary, towards v itself or a
+        ghost, or no longer than the contact tolerance make no neighbour.
+        """
+        space = self.space
+        eps2 = self._eps2
+        ghosts = self._ghosts
         nbrs = set()
         m = len(poly)
         for k in range(m):
-            lab = clabels[k]
-            if lab == BOUNDARY or lab == v or lab in self._ghosts:
+            lab = labels[k]
+            if lab == BOUNDARY or lab == v or lab in ghosts:
                 continue
             x1, y1 = poly[k]
             x2, y2 = poly[(k + 1) % m]
@@ -392,10 +392,9 @@ class Tessellation:
         elif space.density is None:
             vol = abs(polygon_area(poly))
         else:
-            vol = polygon_grid_measure(poly, space.density, L, space.periodic)
-        self._vol[v] = vol
-        self._nbr[v] = tuple(sorted(nbrs))
-        return True
+            vol = polygon_grid_measure(poly, space.density, space.size,
+                                       space.periodic)
+        return vol, tuple(sorted(nbrs))
 
     def _clip_all(self):
         """Direct cell extraction for the fallback backend."""
@@ -403,7 +402,6 @@ class Tessellation:
         L = space.size
         pts = self.points
         n = len(pts)
-        eps2 = self._eps2
         reach2 = 2.0 * L * L * (1.0 + 1e-9)
         half = 0.5 * L
         for i in range(n):
@@ -441,98 +439,48 @@ class Tessellation:
                     c = nx * (0.5 * (px + qx)) + ny * (0.5 * (py + qy))
                     poly, labels = clip_polygon_halfplane(
                         poly, labels, nx, ny, c, j)
-            nbrs = set()
-            m = len(poly)
-            for k in range(m):
-                lab = labels[k]
-                if lab == BOUNDARY or lab == i:
-                    continue
-                x1, y1 = poly[k]
-                x2, y2 = poly[(k + 1) % m]
-                if (x2 - x1) ** 2 + (y2 - y1) ** 2 > eps2:
-                    nbrs.add(lab)
-            if m < 3:
-                vol = 0.0
-            elif space.density is None:
-                vol = abs(polygon_area(poly))
-            else:
-                vol = polygon_grid_measure(poly, space.density, L,
-                                           space.periodic)
-            self._vol[i] = vol
-            self._nbr[i] = tuple(sorted(nbrs))
+            self._vol[i], self._nbr[i] = self._polygon_cell(i, poly, labels)
 
     # ------------------------------------------------------------------
     # views
 
     def cell_volumes(self):
         """Reference-measure volume of every cell, in configuration order."""
-        self._refresh(need="vol")
+        self._refresh(list(self._dirty_vol), False)
         vol = self._vol
         return np.array([vol[e] for e in self._eid], dtype=float)
 
     def degrees(self):
         """Number of neighbours of every cell, in configuration order."""
-        self._refresh()
+        self._refresh(list(self._dirty_nbr), True)
         nbr = self._nbr
         return np.array([len(nbr[e]) for e in self._eid], dtype=np.int64)
 
     def neighbor_sets(self):
         """Neighbour indices of every cell, in configuration order."""
-        self._refresh()
+        self._refresh(list(self._dirty_nbr), True)
         cfg = self._cfg
         return [frozenset(cfg[u] for u in self._nbr[e]) for e in self._eid]
 
-    def volume_of(self, j):
-        e = self._eid[j]
-        if e in self._dirty_vol:
-            self._refresh((e,), "vol")
-        return self._vol[e]
-
-    def degree_of(self, j):
-        e = self._eid[j]
-        if e in self._dirty_nbr:
-            self._refresh((e,))
-        return len(self._nbr[e])
-
     def volumes_at(self, indices):
-        """Volumes of the given cells (batched refresh, chain hot path)."""
+        """Volumes of the given cells (the chain's hot path)."""
         eid = self._eid
         es = [eid[j] for j in indices]
-        dv = self._dirty_vol
-        if self._backend == "delaunay2d":
-            cell = self._cell_2d
-            dn = self._dirty_nbr
-            for e in es:
-                if e in dv:
-                    if cell(e, False):
-                        dn.discard(e)
-                    dv.discard(e)
-        elif any(e in dv for e in es):
-            self._refresh(es, "vol")
+        self._refresh(es, False)
         vol = self._vol
         return [vol[e] for e in es]
 
     def degrees_at(self, indices):
-        """Degrees of the given cells (batched refresh, chain hot path)."""
+        """Degrees of the given cells (the chain's hot path)."""
         eid = self._eid
         es = [eid[j] for j in indices]
-        dn = self._dirty_nbr
-        if self._backend == "delaunay2d":
-            cell = self._cell_2d
-            dv = self._dirty_vol
-            for e in es:
-                if e in dn:
-                    cell(e, True)
-                    dn.discard(e)
-                    dv.discard(e)
-        elif any(e in dn for e in es):
-            self._refresh(es)
+        self._refresh(es, True)
         nbr = self._nbr
         return [len(nbr[e]) for e in es]
 
     def snapshot_lines(self):
         """CSV description of every cell (deterministic across reruns)."""
-        self._refresh()
+        self._refresh(list(self._dirty_nbr), True)
         two = self.space.dim == 2
         lines = ["index,x,y,cell_volume,degree,neighbor_list" if two
                  else "index,x,cell_volume,degree,neighbor_list"]

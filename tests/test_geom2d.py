@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vorsim.geom2d import (circumcenter, clip_polygon_halfplane,
-                           clip_polygon_rect, edge_lengths, halfplane_area,
+                           clip_polygon_rect, halfplane_area,
                            polygon_area, polygon_grid_measure)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -98,7 +98,3 @@ def test_circumcenter_frozen_values():
     cx, cy = circumcenter(0.0, 0.0, 1.0, 0.0, 0.5, math.sqrt(3.0) / 2.0)
     assert cx == pytest.approx(0.5, abs=1e-15)
     assert cy == pytest.approx(math.sqrt(3.0) / 6.0, abs=1e-15)
-
-
-def test_edge_lengths_unit_square():
-    assert edge_lengths(UNIT_SQUARE) == pytest.approx([1.0, 1.0, 1.0, 1.0])

@@ -316,7 +316,7 @@ def test_sampler_draws_follow_weights_chi_square():
     assert p > 1e-3
 
 
-def _chosen_by_steps(params):
+def _events_by_steps(params):
     # the seeding of run(): split the seed, draw the start, step by hand
     init_ss, chain_ss = np.random.SeedSequence(params.seed).spawn(2)
     init_rng = np.random.Generator(np.random.PCG64(init_ss))
@@ -324,12 +324,26 @@ def _chosen_by_steps(params):
     pts = initial_configuration(params.space, params.N, params.init,
                                 init_rng)
     tess = Tessellation.build(pts, params.space)
-    out = []
+    events = []
     for t in range(params.T):
         if params.mode == "thinning" and tess.n < 2:
             break
-        out.append(step(tess, params.selection, params.mode, rng, t).chosen_j)
-    return out
+        events.append(step(tess, params.selection, params.mode, rng, t))
+    return events
+
+
+def _assert_run_equals_steps(params):
+    tr = run(params)
+    events = _events_by_steps(params)
+    dim = params.space.dim
+    assert tr.chosen.tolist() == [ev.chosen_j for ev in events]
+    removed = np.array([ev.removed for ev in events], dtype=float)
+    assert tr.removed.tobytes() == removed.reshape(-1, dim).tobytes()
+    if params.mode == "thinning":
+        assert tr.inserted is None
+    else:
+        inserted = np.array([ev.inserted for ev in events], dtype=float)
+        assert tr.inserted.tobytes() == inserted.reshape(-1, dim).tobytes()
 
 
 SELECTIONS = (
@@ -349,8 +363,46 @@ def test_run_chooses_what_a_step_sequence_chooses(sel, mode):
         params = ProcessParams(N=30, T=45, mode=mode, selection=sel,
                                space=Space(kind, 1.0), seed=11,
                                snapshot_every=16)
-        tr = run(params)
-        assert tr.chosen.tolist() == _chosen_by_steps(params), kind
+        _assert_run_equals_steps(params)
+
+
+class _CoarseCircle(Space):
+    """A circle whose draws from mu fall on 16 slots, so they often
+    coincide with a point of the configuration."""
+
+    def __init__(self):
+        super().__init__("circle", 1.0)
+
+    def sample_mu(self, rng):
+        return float(np.floor(super().sample_mu(rng) * 16.0)) / 16.0
+
+
+def test_run_redraws_coinciding_draws_as_a_step_sequence(monkeypatch):
+    tries = []
+    replace = Tessellation.replace_point
+    monkeypatch.setattr(Tessellation, "replace_point",
+                        lambda self, j, p: tries.append(j) or
+                        replace(self, j, p))
+    params = ProcessParams(N=8, T=40, mode="replacement",
+                           selection=SelectionSpec("volume_power", alpha=1.0),
+                           space=_CoarseCircle(), seed=3, snapshot_every=16)
+    _assert_run_equals_steps(params)
+    # more tries than the two sides' steps: some draws were redrawn
+    assert len(tries) > 2 * params.T
+
+
+def test_replacement_gives_up_after_too_many_coinciding_draws():
+    class Stuck(Space):
+        def sample_mu(self, rng):
+            return 0.1
+
+    space = Stuck("circle", 1.0)
+    # alpha = -200 selects the smallest cell, the one at 0.2, and every
+    # draw lands on the point at 0.1
+    sel = SelectionSpec("volume_power", alpha=-200.0)
+    with pytest.raises(ConfigError, match="could not draw a replacement"):
+        step(build([0.1, 0.2, 0.6], space), sel, "replacement",
+             np.random.default_rng(0))
 
 
 def test_neighbor_table_thinning_reaches_one_survivor():

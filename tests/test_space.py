@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vorsim.errors import ConfigError
-from vorsim.space import Space, distance, sample_mu, total_measure
+from vorsim.space import Space
 
 
 def test_rejects_bad_kind_and_size():
@@ -81,25 +81,16 @@ def test_lambda_grid_must_be_positive_mu_grid_may_have_zeros():
         Space("interval", 1.0, mu_density=[0.0, 0.0])
 
 
-def test_distance_uses_geodesic_metric(circle, interval, torus, square):
-    assert distance(circle, 0.1, 0.9) == pytest.approx(0.2, abs=1e-15)
-    assert distance(interval, 0.1, 0.9) == pytest.approx(0.8, abs=1e-15)
-    assert distance(torus, (0.05, 0.5), (0.95, 0.5)) == \
-        pytest.approx(0.1, abs=1e-15)
-    assert distance(square, (0.0, 0.0), (1.0, 1.0)) == \
-        pytest.approx(np.sqrt(2.0), abs=1e-15)
-
-
 def test_sampler_respects_zero_mass_cells():
     sp = Space("interval", 1.0, mu_density=[0.0, 1.0])
     rng = np.random.default_rng(0)
-    xs = [sample_mu(sp, rng) for _ in range(500)]
+    xs = [sp.sample_mu(rng) for _ in range(500)]
     assert all(x >= 0.5 for x in xs)
 
 
 def test_sampler_uniform_empirical_cdf(square):
     rng = np.random.default_rng(1)
-    pts = np.array([sample_mu(square, rng) for _ in range(4000)])
+    pts = np.array([square.sample_mu(rng) for _ in range(4000)])
     for axis in (0, 1):
         xs = np.sort(pts[:, axis])
         grid = (np.arange(1, len(xs) + 1)) / len(xs)
@@ -109,12 +100,6 @@ def test_sampler_uniform_empirical_cdf(square):
 def test_sampler_tracks_weighted_cells():
     sp = Space("interval", 1.0, density=[3.0, 1.0])
     rng = np.random.default_rng(2)
-    xs = np.array([sample_mu(sp, rng) for _ in range(4000)])
+    xs = np.array([sp.sample_mu(rng) for _ in range(4000)])
     frac_left = float(np.mean(xs < 0.5))
     assert abs(frac_left - 0.75) < 0.03
-
-
-def test_total_measure_alias(square):
-    big = Space("square", 2.0)
-    assert total_measure(big) == 4.0
-    assert total_measure(square) == 1.0

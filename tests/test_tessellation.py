@@ -31,11 +31,11 @@ def test_interval_two_point_frozen_volumes(interval):
 
 def test_single_point_owns_whole_space(interval, torus):
     t = build([0.3], interval)
-    assert t.cell_volumes() == pytest.approx([1.0], abs=1e-15)
-    assert t.degree_of(0) == 0
+    assert t.volumes_at([0]) == pytest.approx([1.0], abs=1e-15)
+    assert t.degrees_at([0]) == [0]
     t = build([(0.3, 0.8)], torus)
-    assert t.cell_volumes() == pytest.approx([1.0], abs=1e-12)
-    assert t.degree_of(0) == 0
+    assert t.volumes_at([0]) == pytest.approx([1.0], abs=1e-12)
+    assert t.degrees_at([0]) == [0]
 
 
 def test_square_two_points_split_by_bisector(square):
@@ -167,12 +167,76 @@ def test_snapshot_lines_header_and_determinism(torus):
 
 def test_volume_and_degree_accessors_match_batch(square):
     rng = np.random.default_rng(10)
-    t = build(random_points(rng, square, 15), square)
-    vols = t.cell_volumes()
-    degs = t.degrees()
+    pts = random_points(rng, square, 15)
+    t = build(pts, square)
+    fresh = build(pts, square)
+    vols = fresh.cell_volumes()
+    degs = fresh.degrees()
     for i in range(t.n):
-        assert t.volume_of(i) == vols[i]
-        assert t.degree_of(i) == degs[i]
+        assert t.volumes_at([i]) == [vols[i]]
+        assert t.degrees_at([i]) == [degs[i]]
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("grid", [None, [[1.0, 3.0], [2.0, 4.0]]])
+@pytest.mark.parametrize("kind", ["torus", "square"])
+def test_2d_refresh_computes_each_changed_cell_at_most_twice(kind, grid,
+                                                            monkeypatch):
+    space = Space(kind, 1.0, density=grid)
+    rng = np.random.default_rng(43)
+    t = build(random_points(rng, space, 40), space)
+    t.degrees()
+    cell = Tessellation._cell_2d
+    calls = []
+
+    def counted(self, v, want_nbrs=True):
+        stored = cell(self, v, want_nbrs)
+        calls.append((v, want_nbrs, stored))
+        return stored
+
+    def recomputed(e, want_nbrs):
+        # one cell computed afresh, with the caches left as they were
+        saved = t._vol[e], t._nbr[e]
+        cell(t, e, want_nbrs)
+        out = t._vol[e], t._nbr[e]
+        t._vol[e], t._nbr[e] = saved
+        return out
+
+    monkeypatch.setattr(Tessellation, "_cell_2d", counted)
+    for k in range(24):
+        j = int(rng.integers(t.n))
+        if k % 3 == 2:
+            changed = t.remove_point(j)
+        else:
+            changed = t.replace_point(j, random_points(rng, space, 1)[0])
+        es = [t._eid[i] for i in changed]
+        del calls[:]
+        vols = t.volumes_at(changed)
+        vol_calls = list(calls)
+        del calls[:]
+        degs = t.degrees_at(changed)
+        nbr_calls = list(calls)
+        del calls[:]
+        assert list(t.cell_volumes()) == [t._vol[e] for e in t._eid]
+        t.degrees()
+        assert calls == []
+        assert all(not want for _, want, _ in vol_calls)
+        assert sorted(v for v, _, _ in vol_calls) == \
+            sorted(set(v for v, _, _ in vol_calls))
+        assert set(v for v, _, _ in vol_calls) == set(es)
+        # neighbours are computed only where the volume pass left them out
+        left_out = {v for v, _, stored in vol_calls if not stored}
+        assert all(want for _, want, _ in nbr_calls)
+        assert sorted(v for v, _, _ in nbr_calls) == sorted(left_out)
+        assert _bits(vols) == _bits([recomputed(e, False)[0] for e in es])
+        assert degs == [len(recomputed(e, True)[1]) for e in es]
+        again = [recomputed(e, True) for e in t._eid]
+        assert _bits([t._vol[e] for e in t._eid]) == \
+            _bits([vol for vol, _ in again])
+        assert [t._nbr[e] for e in t._eid] == [nbr for _, nbr in again]
 
 
 def test_oracle_exact_lattice_volumes(torus):
