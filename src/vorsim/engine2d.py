@@ -18,11 +18,12 @@ validation.  Any situation the local update cannot represent (a cavity or
 star wrapping the torus, an oversized cavity, an inconsistent ring) raises
 ``Abort2D`` before any mutation, and the caller rebuilds from scratch.
 
-Static builds go through library Delaunay triangulations of a replicated
-(torus) or ghost-extended (square) point set, converted to quotient form and
-checked; configurations the conversion cannot certify (exactly cocircular
-grids across periodic copies, tiny N) fall back to triangulation-free direct
-cell clipping in the facade module.
+Static builds insert the points, in a biased randomized insertion order,
+into an exactly resolved seed complex: the ghost frame (square) or a 3x3
+lattice whose seeds are removed afterwards (torus).  The torus first tries
+a library Delaunay triangulation of a replicated point set, converted to
+quotient form and checked.  Configurations no builder can represent fall
+back to triangulation-free direct cell clipping in the facade module.
 """
 
 import math
@@ -67,10 +68,6 @@ class Engine2D:
 
     # ------------------------------------------------------------------
     # bucket grid (locate acceleration and exact-duplicate detection)
-
-    def init_buckets(self, real_ids):
-        ids = list(real_ids)
-        self.rebucket(len(ids), ids)
 
     def rebucket(self, expected_n, ids):
         n = max(1, int(math.sqrt(max(expected_n, 1))))
@@ -159,9 +156,10 @@ class Engine2D:
     # ------------------------------------------------------------------
     # point location
 
-    def locate(self, x, y):
-        """Triangle node (t, sx, sy) whose lifted corners contain (x, y)."""
-        u = self._near_vertex(x, y)
+    def locate(self, x, y, start=None):
+        """Triangle node (t, sx, sy) whose lifted corners contain (x, y),
+        walking from vertex ``start`` or else from the nearest bucketed one."""
+        u = self._near_vertex(x, y) if start is None else start
         t, c = self.incident[u]
         tri = self.TRI[t]
         if tri is None or tri[c] != u:
@@ -208,11 +206,12 @@ class Engine2D:
     # ------------------------------------------------------------------
     # insertion
 
-    def insert(self, v):
-        """Insert vertex v (coords already stored); returns affected ids."""
+    def insert(self, v, start=None):
+        """Insert vertex v (coords already stored); returns affected ids.
+        ``start`` is the vertex ``locate`` walks from."""
         x = self.X[v]
         y = self.Y[v]
-        t0, sx0, sy0 = self.locate(x, y)
+        t0, sx0, sy0 = self.locate(x, y, start)
         L = self.L
         X, Y = self.X, self.Y
         TRI, NBR = self.TRI, self.NBR
@@ -705,26 +704,23 @@ class Engine2D:
 
 
 # ----------------------------------------------------------------------
-# static construction from a library triangulation
+# static construction
 
 
 def build_engine(points, L, periodic):
     """Build an engine for the given canonical points, or None if no
-    backend can represent them (tiny or wrap-degenerate configurations).
+    builder can represent them (tiny or wrap-degenerate configurations).
 
-    A library triangulation of a replicated (torus) or ghost-framed
-    (square) copy of the points is tried first; configurations it cannot
-    triangulate consistently fall back to inserting the points one by one
-    into a small exactly-resolved seed complex.
+    The square inserts the points into an exactly resolved ghost frame.
+    The torus tries a library triangulation of a replicated copy of the
+    points first; configurations it cannot triangulate consistently fall
+    back to inserting the points into an exactly resolved seed lattice.
     """
     if periodic:
         eng = _torus_engine(points, L)
         if eng is not None and eng.validate() is None:
             return eng
         return _seeded_torus_engine(points, L)
-    eng = _square_engine(points, L)
-    if eng is not None and eng.validate() is None:
-        return eng
     return _seeded_square_engine(points, L)
 
 
@@ -804,7 +800,7 @@ def _finalize(eng, tri_records, real_ids):
             eng.incident[tri[c]] = (t, c)
     if set(eng.incident) != set(real_ids) | set(eng.ghosts):
         return None
-    eng.init_buckets(real_ids)
+    eng.rebucket(len(real_ids), real_ids)
     return eng
 
 
@@ -887,41 +883,9 @@ def _torus_engine(points, L):
     return None
 
 
-def _square_engine(points, L):
-    try:
-        from scipy.spatial import Delaunay as _SciDelaunay
-        from scipy.spatial import QhullError
-    except ImportError:  # pragma: no cover
-        return None
-    n = len(points)
-    if n < 1:
-        return None
-    ghosts = [(-8.0 * L, -8.0 * L), (9.0 * L, -8.0 * L),
-              (9.0 * L, 9.0 * L), (-8.0 * L, 9.0 * L)]
-    arr = np.vstack([np.asarray(points, dtype=float), np.asarray(ghosts)])
-    try:
-        dt = _SciDelaunay(arr)
-    except (QhullError, ValueError):
-        return None
-    tris = []
-    for simplex in dt.simplices:
-        i0, i1, i2 = (int(q) for q in simplex)
-        o = orient2d(arr[i0, 0], arr[i0, 1], arr[i1, 0], arr[i1, 1],
-                     arr[i2, 0], arr[i2, 1])
-        if o == 0:
-            return None
-        if o < 0:
-            i1, i2 = i2, i1
-        tris.append(_rotate_min((i0, i1, i2, 0, 0, 0, 0, 0, 0)))
-    X = [float(arr[i, 0]) for i in range(n + 4)]
-    Y = [float(arr[i, 1]) for i in range(n + 4)]
-    eng = Engine2D(L, False, X, Y, ghosts=range(n, n + 4))
-    return _finalize(eng, sorted(tris), range(n))
-
-
 # ----------------------------------------------------------------------
-# seeded incremental construction (fallback when the library
-# triangulation cannot be certified or is not exactly Delaunay)
+# seeded incremental construction (the square's builder, and the torus's
+# when the library triangulation cannot be certified)
 
 
 _GHOST_CORNERS = ((-8.0, -8.0), (9.0, -8.0), (9.0, 9.0), (-8.0, 9.0))
@@ -977,58 +941,98 @@ def _seeded_torus_engine(points, L):
             break
     if seeds is None:
         return None
-    sid = list(range(n, n + 9))
-    X = [p[0] for p in points] + [s[0] for s in seeds]
-    Y = [p[1] for p in points] + [s[1] for s in seeds]
-    eng = Engine2D(L, True, X, Y)
-
-    def corner(aa, bb):
-        return (sid[3 * (bb % 3) + (aa % 3)], aa // 3, bb // 3)
-
     recs = set()
     for a in range(3):
         for b in range(3):
-            quad = [corner(a, b), corner(a + 1, b),
-                    corner(a + 1, b + 1), corner(a, b + 1)]
-            ids = [q[0] for q in quad]
-            lifts = [(q[1], q[2]) for q in quad]
-            coords = [(X[q[0]] + q[1] * L, Y[q[0]] + q[2] * L) for q in quad]
-            recs.update(_quad_records(ids, lifts, coords))
-    eng = _finalize(eng, sorted(recs), sid)
-    if eng is None:
-        return None
-    eng.rebucket(n + 9, sid)
-    try:
-        for v in range(n):
-            eng.insert(v)
-        for s in sid:
-            eng.delete(s)
-    except Abort2D:
-        return None
-    return eng
+            quad = ((a, b), (a + 1, b), (a + 1, b + 1), (a, b + 1))
+            ks = [3 * (qb % 3) + qa % 3 for qa, qb in quad]
+            lifts = [(qa // 3, qb // 3) for qa, qb in quad]
+            coords = [(seeds[k][0] + lx * L, seeds[k][1] + ly * L)
+                      for k, (lx, ly) in zip(ks, lifts)]
+            recs.update(_quad_records([n + k for k in ks], lifts, coords))
+    return _insert_into_seeds(points, L, True, seeds, recs)
 
 
 def _seeded_square_engine(points, L):
     """Insert all points into a ghost frame whose diagonal is exactly
-    resolved; the ghosts stay, as in the library path."""
+    resolved; the ghosts stay."""
     n = len(points)
-    if n < 1:
-        return None
     ghosts = [(gx * L, gy * L) for gx, gy in _GHOST_CORNERS]
-    sid = [n, n + 1, n + 2, n + 3]
-    X = [p[0] for p in points] + [g[0] for g in ghosts]
-    Y = [p[1] for p in points] + [g[1] for g in ghosts]
-    eng = Engine2D(L, False, X, Y, ghosts=sid)
-    lifts = [(0, 0)] * 4
-    coords = list(ghosts)
-    recs = _quad_records(sid, lifts, coords)
-    eng = _finalize(eng, sorted(set(recs)), ())
+    recs = _quad_records(range(n, n + 4), [(0, 0)] * 4, ghosts)
+    return _insert_into_seeds(points, L, False, ghosts, recs)
+
+
+def _insert_into_seeds(points, L, periodic, seeds, recs):
+    """Insert the points into the triangles ``recs`` on the seed generators
+    (ids n, n+1, ...) and return the engine, or None when it aborts.
+
+    The points go in a biased randomized insertion order, each walk
+    starting at the point inserted before.  The torus's seeds are deleted
+    afterwards; the square's stay as its ghosts.
+    """
+    n = len(points)
+    sid = range(n, n + len(seeds))
+    X = [p[0] for p in points] + [s[0] for s in seeds]
+    Y = [p[1] for p in points] + [s[1] for s in seeds]
+    eng = Engine2D(L, periodic, X, Y, ghosts=() if periodic else sid)
+    eng = _finalize(eng, sorted(recs), sid)
     if eng is None:
         return None
-    eng.rebucket(n + 4, sid)
+    eng.rebucket(n, ())
+    start = n
     try:
-        for v in range(n):
-            eng.insert(v)
+        for v in _brio_order(points, L):
+            eng.insert(v, start)
+            start = v
+        if periodic:
+            for s in sid:
+                eng.delete(s)
     except Abort2D:
         return None
     return eng
+
+
+_BRIO_SEED = 20030608  # fixed: a build draws nothing from the chain's RNG
+
+
+def _brio_order(points, L):
+    """Ids 0..n-1 in a biased randomized insertion order (Amenta, Choi and
+    Rote, SoCG 2003).
+
+    A fixed-seed permutation is cut into rounds of doubling size (the last
+    round is the second half), and each round is sorted along a Hilbert
+    curve, so consecutive points lie close together while every round
+    still refines a random sample of the ones before.
+    """
+    n = len(points)
+    perm = np.random.default_rng(_BRIO_SEED).permutation(n)
+    key = _hilbert_keys(points, L)
+    order = []
+    lo = 0
+    for k in range(n.bit_length() - 1, -1, -1):
+        hi = n >> k
+        rnd = perm[lo:hi]
+        order.extend(rnd[np.argsort(key[rnd], kind="stable")].tolist())
+        lo = hi
+    return order
+
+
+def _hilbert_keys(points, L):
+    """Position of each point along a Hilbert curve through a 2^16 x 2^16
+    grid on [0, L]^2."""
+    side = 1 << 16
+    g = np.clip((np.asarray(points) * (side / L)).astype(np.int64), 0, side - 1)
+    x, y = g[:, 0], g[:, 1]
+    d = np.zeros_like(x)
+    s = side >> 1
+    while s:
+        rx = (x & s) > 0
+        ry = (y & s) > 0
+        d += s * s * ((3 * rx) ^ ry)
+        # turn the quadrant so the finer levels continue the curve
+        flip = rx & ~ry
+        x = np.where(flip, side - 1 - x, x)
+        y = np.where(flip, side - 1 - y, y)
+        x, y = np.where(ry, x, y), np.where(ry, y, x)
+        s >>= 1
+    return d

@@ -91,8 +91,8 @@ def halfplane_area(pts, nx, ny, c):
     """Area of ``polygon  ∩  {nx*x + ny*y <= c}`` without building it.
 
     Emits the clipped vertex sequence implicitly and accumulates the
-    shoelace sum on the fly; used on the volume-only refresh path where
-    the clipped polygon itself is never needed.
+    shoelace sum on the fly; gives the area of every square cell that
+    crosses exactly one side of the square.
     """
     n = len(pts)
     area2 = 0.0

@@ -3,10 +3,11 @@
 A tessellation is backed by one of three structures: a sorted-order arc
 structure in one dimension, an incremental Delaunay engine in two, or a
 direct half-plane clipping fallback for configurations the engine cannot
-represent (fewer than three torus points, exactly degenerate inputs).  All
-backends answer the same questions: cell volumes under the reference
-density, neighbour sets over shared positive-length cell boundaries, and
-which cells changed after replacing or removing a point.
+represent (fewer than three torus points, or a start that no builder can
+triangulate, such as the 2x2 torus lattice).  All backends answer the same
+questions: cell volumes under the reference density, neighbour sets over
+shared positive-length cell boundaries, and which cells changed after
+replacing or removing a point.
 
 In one dimension the build sorts the points once; that sort serves the
 duplicate check, the engine's key list and one vectorised pass that fills
@@ -14,7 +15,8 @@ every cell, so a fresh tessellation has no stale cell.  Later updates
 recompute only the cells they change, one at a time, with the same float
 operations, so a cell reads the same bits whichever path computed it.
 The fallback backend clips every cell when it is built, so it has no
-stale cell either.
+stale cell either.  Each shape of clipped square cell has one area
+formula, so a volume has the same bits whichever read computed it.
 
 A cell changed by an update is recomputed when it is next read, and
 every read goes through ``_refresh``: ``volumes_at``/``degrees_at`` for
@@ -40,6 +42,11 @@ from .geom2d import (BOUNDARY, clip_polygon_halfplane, halfplane_area,
 # Dual edges shorter than this fraction of the space size are treated as
 # degenerate contact (four cells meeting in a point) rather than adjacency.
 EDGE_EPS_REL = 1e-12
+
+# The sides of the square by ``Engine2D.cell_scan`` flag bit, as the
+# half-plane nx*x + ny*y <= c*L that keeps the square, in clipping order.
+_SIDES = {1: (-1.0, 0.0, 0.0), 2: (1.0, 0.0, 1.0),
+          4: (0.0, -1.0, 0.0), 8: (0.0, 1.0, 1.0)}
 
 
 def _canonical_points(points, space):
@@ -329,20 +336,13 @@ class Tessellation:
                 self._nbr[v] = tuple(sorted(set(nbrs)))
                 return True
             return False
-        if not want_nbrs and space.density is None:
-            # volume-only refresh of a cell crossing a single side: fused
-            # area clip, no polygon construction
-            if flags == 1:
-                self._vol[v] = halfplane_area(ccs, -1.0, 0.0, 0.0)
-                return False
-            if flags == 2:
-                self._vol[v] = halfplane_area(ccs, 1.0, 0.0, L)
-                return False
-            if flags == 4:
-                self._vol[v] = halfplane_area(ccs, 0.0, -1.0, 0.0)
-                return False
-            if flags == 8:
-                self._vol[v] = halfplane_area(ccs, 0.0, 1.0, L)
+        # a cell crossing one side takes its area from the fused clip on
+        # every read, any other clipped cell from its clipped polygon
+        side = _SIDES.get(flags) if space.density is None else None
+        if side is not None:
+            nx, ny, c = side
+            self._vol[v] = halfplane_area(ccs, nx, ny, c * L)
+            if not want_nbrs:
                 return False
         # cell protrudes from the chart or touches a ghost: clip against the
         # crossed sides only (cells are convex), and keep the neighbour set
@@ -352,19 +352,13 @@ class Tessellation:
         clabels = [ring[(k + 1) % d] for k in range(d)]
         if flags & 16:
             flags = 15
-        if flags & 1:
-            poly, clabels = clip_polygon_halfplane(poly, clabels,
-                                                   -1.0, 0.0, 0.0, BOUNDARY)
-        if flags & 2:
-            poly, clabels = clip_polygon_halfplane(poly, clabels,
-                                                   1.0, 0.0, L, BOUNDARY)
-        if flags & 4:
-            poly, clabels = clip_polygon_halfplane(poly, clabels,
-                                                   0.0, -1.0, 0.0, BOUNDARY)
-        if flags & 8:
-            poly, clabels = clip_polygon_halfplane(poly, clabels,
-                                                   0.0, 1.0, L, BOUNDARY)
-        self._vol[v], self._nbr[v] = self._polygon_cell(v, poly, clabels)
+        for bit, (nx, ny, c) in _SIDES.items():
+            if flags & bit:
+                poly, clabels = clip_polygon_halfplane(poly, clabels,
+                                                       nx, ny, c * L, BOUNDARY)
+        vol, self._nbr[v] = self._polygon_cell(v, poly, clabels)
+        if side is None:
+            self._vol[v] = vol
         return True
 
     def _polygon_cell(self, v, poly, labels):

@@ -288,3 +288,26 @@ def test_remove_point_matches_rebuild_of_survivors(interval, square):
         assert t.cell_volumes() == pytest.approx(fresh.cell_volumes(),
                                                  rel=1e-9)
         assert neighbor_pairs(t) == neighbor_pairs(fresh)
+
+
+@pytest.mark.parametrize("grid", [None, [[1.0, 3.0], [2.0, 4.0]]])
+@pytest.mark.parametrize("kind", ["square", "torus"])
+def test_volumes_do_not_depend_on_read_order(kind, grid):
+    space = Space(kind, 1.0, density=grid)
+    rng = np.random.default_rng(0)
+    pts = random_points(rng, space, 400)
+    moves = [(int(j), p) for j, p in zip(rng.integers(0, 400, 20),
+                                         random_points(rng, space, 20))]
+    first = build(pts, space)
+    later = build(pts, space)
+    vols = first.cell_volumes()
+    later.degrees()
+    assert _bits(later.cell_volumes()) == _bits(vols)
+    for j, p in moves:
+        changed = first.replace_point(j, p)
+        later.replace_point(j, p)
+        vols = first.volumes_at(changed)
+        first.degrees_at(changed)
+        later.degrees_at(changed)
+        assert _bits(later.volumes_at(changed)) == _bits(vols)
+    assert _bits(first.cell_volumes()) == _bits(later.cell_volumes())
