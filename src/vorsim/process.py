@@ -15,8 +15,9 @@ Selection draws go through ``_RowSumSampler``, which keeps the weights in
 rows of about sqrt(N) entries with one sum per row, so a draw costs
 O(sqrt N) rather than a cumulative sum over all N weights.  ``step()``
 builds one from ``SelectionSpec.weights`` on each call; ``run()`` keeps
-one up to date, setting only the weights of the cells a step changed and
-rebuilding it when thinning removes a point.  The sampler's state is a
+one up to date, setting only the weights of the cells a step changed and,
+when thinning removes a point, shifting the later weights down in place and
+re-summing the rows from the removed one on.  The sampler's state is a
 function of the weight vector alone, so ``run()`` chooses exactly the
 indices that the same seed gives a sequence of ``step()`` calls.
 
@@ -245,18 +246,23 @@ class _RowSumSampler:
     least 8), padded with zeros, and each row keeps its sum.  A draw takes
     one ``rng.random()``, finds the row with a cumulative sum over the row
     sums and the entry with a cumulative sum inside that row: O(sqrt n)
-    instead of O(n).  ``set`` recomputes the sums of the touched rows from
-    their entries with the reduction the constructor uses, never by adding
-    deltas, so the state is a function of the weight vector alone and a
-    maintained sampler draws exactly what a fresh one would.
+    instead of O(n).  ``set`` and ``delete`` recompute the sums of the
+    touched rows from their entries with the reduction the constructor
+    uses, never by adding deltas, so the state is a function of the weight
+    vector alone and a maintained sampler draws exactly what a fresh one
+    would.
     """
 
     def __init__(self, w):
         self._load(np.asarray(w, dtype=float))
 
+    @staticmethod
+    def _width(n):
+        return max(8, 1 << ((n.bit_length() + 1) // 2))
+
     def _load(self, w):
         n = len(w)
-        B = max(8, 1 << ((n.bit_length() + 1) // 2))
+        B = self._width(n)
         self.n = n
         self.B = B
         self.rows = np.zeros((-(-n // B), B))
@@ -276,8 +282,24 @@ class _RowSumSampler:
         self.sums[rows] = self.rows[rows].sum(axis=1)
 
     def delete(self, j):
-        """Drop entry j; later indices shift down as list deletion does."""
-        self._load(np.delete(self.weights, j))
+        """Drop entry j; later indices shift down as list deletion does.
+
+        The later entries move down one slot in place and the rows from
+        the one that held j on are summed again; only when the shorter
+        vector needs another row width or row count is the sampler loaded
+        afresh.
+        """
+        n = self.n - 1
+        flat = self.flat
+        flat[j:n] = flat[j + 1:n + 1]
+        flat[n] = 0.0
+        B = self.B
+        if self._width(n) != B or -(-n // B) != len(self.sums):
+            self._load(flat[:n])
+            return
+        self.n = n
+        r = j // B
+        self.sums[r:] = self.rows[r:].sum(axis=1)
 
     def draw(self, rng):
         # array methods rather than np.cumsum/np.searchsorted: this runs

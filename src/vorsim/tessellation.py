@@ -26,10 +26,16 @@ separately, so a volume-only read can skip the adjacency work.
 
 Cells are addressed by their index in the configuration.  ``replace_point``
 keeps indices stable; ``remove_point`` shifts the indices above the removed
-one down by one, as list deletion does.
+one down by one, as list deletion does.  Internally a cell is keyed by the
+id of its generator in the backend, and ``_eid`` lists the ids in index
+order.  Every (re)build assigns the ids 0..n-1 in index order, replacement
+keeps each id and removal only pops one, so ``_eid`` is always strictly
+increasing and an id's index is found by bisection, with no map to rebuild
+after each removal.
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -106,7 +112,6 @@ class Tessellation:
         pts = self.points
         n = len(pts)
         self._eid = eid = list(range(n))
-        self._cfg = dict(zip(eid, range(n)))
         self._vol.clear()
         self._nbr.clear()
         space = self.space
@@ -155,8 +160,8 @@ class Tessellation:
         aff -= self._ghosts
         self._dirty_vol |= aff
         self._dirty_nbr |= aff
-        cfg = self._cfg
-        return tuple(sorted(cfg[e] for e in aff))
+        eid = self._eid
+        return tuple(bisect_left(eid, e) for e in sorted(aff))
 
     def _rebuild(self):
         """Rebuild the backend; every cell counts as changed."""
@@ -201,7 +206,6 @@ class Tessellation:
         e = self._eid[j]
         self.points.pop(j)
         self._eid.pop(j)
-        self._cfg = dict(zip(self._eid, range(n - 1)))
         self._vol.pop(e, None)
         self._nbr.pop(e, None)
         self._dirty_vol.discard(e)
@@ -453,7 +457,7 @@ class Tessellation:
     def neighbor_sets(self):
         """Neighbour indices of every cell, in configuration order."""
         self._refresh(list(self._dirty_nbr), True)
-        cfg = self._cfg
+        cfg = {e: k for k, e in enumerate(self._eid)}
         return [frozenset(cfg[u] for u in self._nbr[e]) for e in self._eid]
 
     def volumes_at(self, indices):
@@ -478,7 +482,7 @@ class Tessellation:
         two = self.space.dim == 2
         lines = ["index,x,y,cell_volume,degree,neighbor_list" if two
                  else "index,x,cell_volume,degree,neighbor_list"]
-        cfg = self._cfg
+        cfg = {e: k for k, e in enumerate(self._eid)}
         for k, e in enumerate(self._eid):
             p = self.points[k]
             nb = ";".join(str(c) for c in sorted(cfg[u]

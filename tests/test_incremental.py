@@ -5,8 +5,9 @@ import pytest
 
 from helpers import all_spaces, neighbor_pairs, random_points
 from vorsim.errors import DuplicatePoints
+from vorsim.process import InitSpec, initial_configuration
 from vorsim.space import Space
-from vorsim.tessellation import build, replace_point
+from vorsim.tessellation import Tessellation, build, replace_point
 
 
 def _drive(space, n, steps, seed):
@@ -56,10 +57,82 @@ def test_incremental_1d_caches_equal_a_fresh_build(kind, grid):
     t.degrees()
     assert not t._dirty_vol and not t._dirty_nbr
     fresh = build(list(t.points), space)
-    cfg = t._cfg
+    cfg = {e: k for k, e in enumerate(t._eid)}
     assert {j: t._vol[e] for j, e in enumerate(t._eid)} == fresh._vol
     assert {j: tuple(sorted(cfg[u] for u in t._nbr[e]))
             for j, e in enumerate(t._eid)} == fresh._nbr
+
+
+def _checked_update(t, space, rebuilds, j, p=None):
+    """Remove point j (p None) or move it to p, on a tessellation with no
+    stale cell, and check the indices the call returns."""
+    before = build(list(t.points), space)
+    n_rebuilds = len(rebuilds)
+    changed = t.remove_point(j) if p is None else t.replace_point(j, p)
+    eid = t._eid
+    assert all(a < b for a, b in zip(eid, eid[1:]))
+    if len(rebuilds) > n_rebuilds:
+        assert changed == tuple(range(t.n))
+    else:
+        # the positions of the ids marked stale, by a scan, not bisection
+        assert changed == tuple(k for k, e in enumerate(eid)
+                                if e in t._dirty_nbr)
+    after = build(list(t.points), space)
+    nbrs = t.neighbor_sets()
+    assert nbrs == after.neighbor_sets()
+    # a cell left out of ``changed`` kept its volume and its neighbours
+    def old(k):
+        return k + (k >= j) if p is None else k
+    vol_before, vol_after = before.cell_volumes(), after.cell_volumes()
+    nbrs_before = before.neighbor_sets()
+    for k in set(range(t.n)) - set(changed):
+        assert vol_after[k] == pytest.approx(vol_before[old(k)],
+                                             rel=1e-9, abs=1e-12)
+        assert {old(u) for u in nbrs[k]} == nbrs_before[old(k)]
+
+
+def _thin_to_one(space, pts, seed, p_remove, monkeypatch):
+    """Random removals and replacements down to one point, each checked;
+    returns the number of points left after each rebuild."""
+    rebuilds = []
+    rebuild = Tessellation._rebuild
+    monkeypatch.setattr(Tessellation, "_rebuild",
+                        lambda self: rebuilds.append(self.n) or rebuild(self))
+    rng = np.random.default_rng(seed)
+    t = build(pts, space)
+    t.neighbor_sets()
+    while t.n > 1:
+        j = int(rng.integers(t.n))
+        p = None
+        if rng.random() >= p_remove:
+            p = random_points(rng, space, 1)[0]
+        try:
+            _checked_update(t, space, rebuilds, j, p)
+        except DuplicatePoints:
+            continue
+    return rebuilds
+
+
+@pytest.mark.parametrize("space", [
+    Space("circle", 1.0), Space("interval", 1.0),
+    Space("square", 1.0, density=[[1.0, 3.0], [2.0, 0.5]]),
+    Space("torus", 1.0)], ids=("circle", "interval", "square-grid", "torus"))
+def test_updates_return_the_indices_of_the_changed_cells(space, monkeypatch):
+    rng = np.random.default_rng(30)
+    rebuilds = _thin_to_one(space, random_points(rng, space, 40), 31, 0.5,
+                            monkeypatch)
+    if space.kind == "torus":
+        # thinning below four points rebuilds, on clip2d below three
+        assert rebuilds[-2:] == [2, 1]
+
+
+def test_collapsed_torus_removals_rebuild_and_keep_indices(monkeypatch):
+    torus = Space("torus", 1.0)
+    pts = initial_configuration(torus, 32, InitSpec("single_cluster"),
+                                np.random.default_rng(32))
+    rebuilds = _thin_to_one(torus, pts, 33, 1.0, monkeypatch)
+    # a removal that leaves three or more points rebuilds on Abort2D only
+    assert any(m >= 3 for m in rebuilds)
 
 
 def test_module_level_replace_reports_affected_cells(circle):

@@ -260,6 +260,15 @@ def test_sampler_maintained_equals_fresh_build():
             s.set(idx, rng.random(len(idx)) * 10.0 ** rng.integers(-8, 8))
         assert _same_state(s, _RowSumSampler(s.weights.copy()))
     assert s.n < 300
+    # deletes alone, from 300 entries to 1: every drop of the row count
+    # and both changes of the row width (32 -> 16 -> 8)
+    s = _RowSumSampler(w)
+    widths = {s.B}
+    while s.n > 1:
+        s.delete(int(rng.integers(s.n)))
+        widths.add(s.B)
+        assert _same_state(s, _RowSumSampler(s.weights.copy()))
+    assert widths == {32, 16, 8}
 
 
 class _FixedRandom:
@@ -344,6 +353,7 @@ def _assert_run_equals_steps(params):
     else:
         inserted = np.array([ev.inserted for ev in events], dtype=float)
         assert tr.inserted.tobytes() == inserted.reshape(-1, dim).tobytes()
+    return tr
 
 
 SELECTIONS = (
@@ -359,11 +369,21 @@ SELECTIONS = (
 @pytest.mark.parametrize("sel", SELECTIONS,
                          ids=("power0.5", "power3", "table", "neighbors"))
 def test_run_chooses_what_a_step_sequence_chooses(sel, mode):
-    for kind in ("circle", "torus"):
+    for kind in ("circle", "interval", "square", "torus"):
         params = ProcessParams(N=30, T=45, mode=mode, selection=sel,
                                space=Space(kind, 1.0), seed=11,
                                snapshot_every=16)
         _assert_run_equals_steps(params)
+
+
+def test_run_thinning_to_one_survivor_chooses_what_steps_choose():
+    # from 300 points the sampler's row width shrinks 32 -> 16 -> 8
+    params = ProcessParams(N=300, T=299, mode="thinning",
+                           selection=SelectionSpec("volume_power", alpha=3.0),
+                           space=Space("square", 1.0), seed=12,
+                           snapshot_every=100)
+    tr = _assert_run_equals_steps(params)
+    assert tr.n_events == 299 and len(tr.final_points) == 1
 
 
 class _CoarseCircle(Space):
