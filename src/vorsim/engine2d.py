@@ -6,27 +6,36 @@ coordinates are ``x + a*L``.  Valid torus Delaunay triangles have edges no
 longer than ``sqrt(2)*L`` (the largest empty-disk diameter), hence lifts fit
 in {0, 1, 2} after per-triangle normalization.  Adjacency records carry the
 translation that maps the neighbour's stored lifts into the triangle's own
-frame.  The square uses the same structure with all lifts zero plus four
-distant ghost generators whose hull contains the square, so every real cell
-is bounded; ghost bisectors pass nowhere near the square, leaving clipped
-cells exact.
+frame.  A triangle may carry one generator at two corners (a Delta-complex),
+as the Delaunay triangulation of a collapsed torus configuration does.  The
+square uses the same structure with all lifts zero plus four distant ghost
+generators whose hull contains the square, so every real cell is bounded;
+ghost bisectors pass nowhere near the square, leaving clipped cells exact.
 
 Point insertion is cavity-based (conflict search by the in-circle predicate,
 fan retriangulation of the cavity ring); deletion collects the star of the
 vertex and retriangulates the link polygon by ear cutting with empty-circle
-validation.  Any situation the local update cannot represent (a cavity or
-star wrapping the torus, an oversized cavity, an inconsistent ring) raises
+validation.  Both fast paths need a hole shaped like a disk around one lift
+of the vertex.  On the torus a hole can touch another period of itself: a
+star visits a triangle twice or its link touches another period of the
+vertex, a cavity meets itself around the torus or its ring touches its own
+period.  Such a hole is retriangulated in the universal cover instead
+(``_fill_hole``): every quotient triangle of the hole goes, and the Delaunay
+triangles of its corners' lifts are wrapped outwards from the rim, one per
+directed edge, normalised and deduplicated with ``_rotate_min`` and stitched
+by quotient edge keys.  Any situation neither path can represent (an
+oversized cavity, an inconsistent ring, a refill of the wrong size) raises
 ``Abort2D`` before any mutation, and the caller rebuilds from scratch.
 
 Static builds insert the points, in a biased randomized insertion order,
 into an exactly resolved seed complex: the ghost frame (square) or a 3x3
-lattice whose seeds are removed afterwards (torus).  The torus first tries
-a library Delaunay triangulation of a replicated point set, converted to
-quotient form and checked.  Configurations no builder can represent fall
-back to triangulation-free direct cell clipping in the facade module.
+lattice whose seeds are deleted afterwards (torus); there is no library
+triangulation.  A build that aborts returns None, and the facade module
+falls back to triangulation-free direct cell clipping.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +43,7 @@ from .geom2d import circumcenter
 from .predicates import incircle, orient2d
 
 _LIFT_MAX = 2  # max normalized lift: edges never exceed sqrt(2)*L
+_APEX_REACH = 0.75  # bounds a Delaunay disk's radius L/sqrt(2), with slack
 
 # cyclic corner successors, cheaper than (c + 1) % 3 in the hot walks
 _NXT = (1, 2, 0)
@@ -220,7 +230,8 @@ class Engine2D:
 
         # conflict search over (triangle, lift) nodes
         seen = {}
-        confl = {}   # t -> its single conflicting lift
+        confl = {}   # t -> its first conflicting lift
+        wrapped = False
         stack = [(t0, sx0, sy0)]
         while stack:
             node = stack.pop()
@@ -237,15 +248,19 @@ class Engine2D:
             if not c:
                 continue
             if t in confl:
-                raise Abort2D("cavity meets itself around the torus")
-            confl[t] = (sx, sy)
-            if len(confl) > cap:
-                raise Abort2D("cavity too large")
+                # the cavity meets itself around the torus
+                wrapped = True
+            else:
+                confl[t] = (sx, sy)
+                if len(confl) > cap:
+                    raise Abort2D("cavity too large")
             for rec in NBR[t]:
                 if rec is not None:
                     stack.append((rec[0], sx + rec[2], sy + rec[3]))
         if not confl:
             raise Abort2D("insertion point conflicts with no triangle")
+        if wrapped:
+            return self._fill_hole(confl, new=v)
 
         # boundary ring: directed edges of conflicting triangles whose
         # neighbour (across that edge) is not in conflict
@@ -263,8 +278,8 @@ class Engine2D:
                         continue
                     if t2 in confl:
                         # the ring neighbour is another period of a cavity
-                        # triangle; committing would strand its adjacency
-                        raise Abort2D("cavity ring touches its own period")
+                        # triangle: the cavity touches its own period
+                        return self._fill_hole(confl, new=v)
                     outer = (t2, rec[1], s2[0], s2[1])
                 else:
                     outer = None
@@ -376,6 +391,7 @@ class Engine2D:
         ring = []    # (id, lift_x, lift_y) in the walk frame
         outer = []   # outer neighbour across ring edge (k, k+1)
         seen_outer = set()
+        touched = False
         t, c, sx, sy = t0, c0, 0, 0
         while True:
             tri = TRI[t]
@@ -388,8 +404,9 @@ class Engine2D:
             else:
                 if TRI[rec[0]][rec[1]] == v:
                     # the neighbour across the link is another period of a
-                    # triangle that also vanishes with v
-                    raise Abort2D("link touches another period of the vertex")
+                    # triangle that also vanishes with v: the link touches
+                    # another period of the vertex
+                    touched = True
                 key = (rec[0], rec[1])
                 if key in seen_outer:
                     raise Abort2D("link uses an outer edge twice")
@@ -414,10 +431,11 @@ class Engine2D:
         m = len(star_t)
         if m < 3:
             raise Abort2D("degenerate star")
-        if len(set(star_t)) != m:
-            # a triangle carries v at two corners; the hole in the quotient
-            # complex is not the disk around this lift of v
-            raise Abort2D("star visits a triangle twice")
+        if touched or len(set(star_t)) != m:
+            # the star visits a triangle twice (it carries v at two
+            # corners), or touches another period of v: the hole in the
+            # quotient complex is not the disk around this lift of v
+            return self._fill_hole(star_t, gone=v)
 
         ids = [r[0] for r in ring]
         coords = [(X[i] + lx * L, Y[i] + ly * L) for (i, lx, ly) in ring]
@@ -552,6 +570,195 @@ class Engine2D:
         return set(ids)
 
     # ------------------------------------------------------------------
+    # holes that touch another period of themselves (torus only)
+
+    def _fill_hole(self, hole, gone=None, new=None):
+        """Replace the triangles ``hole`` by the Delaunay triangles of its
+        corners, built in the universal cover; returns the corner ids.
+
+        The general case of ``delete`` (vertex ``gone``: ``hole`` holds
+        every triangle with it at a corner) and ``insert`` (vertex ``new``:
+        every triangle in conflict at any lift).  Starting from each rim
+        side, the triangle beyond is found by ``_apex``, normalised with
+        ``_rotate_min`` and keyed by its directed edges, so each quotient
+        triangle is found once whatever lift reaches it.  A torus
+        triangulation has 2n triangles, so the hole must refill with two
+        fewer (delete) or two more (insert); anything else raises
+        ``Abort2D`` before any mutation.  A hole that is the whole
+        triangulation has no rim; its refill starts from a nearest pair.
+        """
+        TRI, NBR, X, Y, L = self.TRI, self.NBR, self.X, self.Y, self.L
+        inside = set(hole)
+        hole = sorted(inside)
+        ids = {TRI[t][k] for t in hole for k in range(3)}
+        if new is None:
+            ids.discard(gone)
+            want = len(hole) - 2
+        else:
+            ids.add(new)
+            want = len(hole) + 2
+        ids = sorted(ids)
+        # the rim: sides of surviving triangles that face the hole, each
+        # directed so the hole lies on its left
+        rim = [(rec[0], rec[1]) for t in hole for rec in NBR[t]
+               if rec[0] not in inside]
+        done = set()
+        front = []
+        for t2, e2 in rim:
+            a, b = _arc_ends(TRI[t2], e2)
+            done.add(_arc(a, b))
+            front.append((b, a))
+        if not front:
+            a, b = self._nearest_pair(ids)
+            front = [(a, b), (b, a)]
+        plan = []
+        while front:
+            a, b = front.pop()
+            if _arc(a, b) in done:
+                continue
+            c = self._apex(a, b, ids)
+            if c is None or len(plan) == want:
+                raise Abort2D("hole retriangulation does not close")
+            mx = min(a[1], b[1], c[1])
+            my = min(a[2], b[2], c[2])
+            a, b, c = [(u, lx - mx, ly - my) for u, lx, ly in (a, b, c)]
+            arcs = (_arc(a, b), _arc(b, c), _arc(c, a))
+            if (max(a[1], b[1], c[1]) > _LIFT_MAX
+                    or max(a[2], b[2], c[2]) > _LIFT_MAX
+                    or not done.isdisjoint(arcs)):
+                raise Abort2D("hole retriangulation overlaps itself")
+            done.update(arcs)
+            plan.append(_rotate_min(a[:1] + b[:1] + c[:1]
+                                    + a[1:] + b[1:] + c[1:]))
+            front.append((c, b))
+            front.append((a, c))
+        if len(plan) != want or {r[k] for r in plan for k in range(3)} \
+                != set(ids):
+            raise Abort2D("hole retriangulation has the wrong size")
+
+        # stitch the new triangles to each other and to the rim
+        sides = {}
+        for pi, rec in enumerate(plan):
+            for e in range(3):
+                key, anchor = _edge_key(rec, e)
+                sides.setdefault(key, []).append((pi, e, anchor))
+        for t2, e2 in rim:
+            key, anchor = _edge_key(TRI[t2], e2)
+            sides.setdefault(key, []).append((-1 - t2, e2, anchor))
+        pairs = list(sides.values())
+        if any(len(refs) != 2 or refs[0][0] < 0 for refs in pairs):
+            raise Abort2D("hole retriangulation left unmatched edges")
+        ccs = []
+        for rec in plan:
+            (ax, ay), (bx, by), (cx, cy) = [
+                (X[rec[k]] + rec[3 + 2 * k] * L, Y[rec[k]] + rec[4 + 2 * k] * L)
+                for k in range(3)]
+            try:
+                ccs.append(circumcenter(ax, ay, bx, by, cx, cy))
+            except ZeroDivisionError:
+                raise Abort2D("degenerate hole triangle") from None
+
+        # ---- commit ----
+        for t in hole:
+            TRI[t] = None
+            NBR[t] = None
+            self.CC[t] = None
+            self.free.append(t)
+        tids = []
+        for rec, cc in zip(plan, ccs):
+            if self.free:
+                tid = self.free.pop()
+            else:
+                tid = len(TRI)
+                TRI.append(None)
+                NBR.append(None)
+                self.CC.append(None)
+            TRI[tid] = rec
+            NBR[tid] = [None, None, None]
+            self.CC[tid] = cc
+            tids.append(tid)
+            for k in range(3):
+                self.incident[rec[k]] = (tid, k)
+        for (p1, e1, a1), (p2, e2, a2) in pairs:
+            t1 = tids[p1]
+            t2 = tids[p2] if p2 >= 0 else -1 - p2
+            dx, dy = a1[0] - a2[0], a1[1] - a2[1]
+            NBR[t1][e1] = (t2, e2, dx, dy)
+            NBR[t2][e2] = (t1, e1, -dx, -dy)
+        if new is None:
+            del self.incident[gone]
+            self.bucket_remove(gone)
+            self.live -= 2
+        else:
+            self.bucket_add(new)
+            self.live += 2
+            ids.remove(new)
+        return set(ids)
+
+    def _apex(self, a, b, ids):
+        """The lift of a generator in ``ids`` that makes a Delaunay triangle
+        with the lifted edge a -> b on its left, or None.
+
+        A Delaunay disk of a torus point set has radius at most L/sqrt(2),
+        so the apex lies in the disk of radius ``_APEX_REACH * L`` through a
+        and b centred to their left.  One pass over the lifts in that disk
+        keeps the one whose circle through a and b holds no other: those
+        circles nest on the left of the edge.
+        """
+        X, Y, L = self.X, self.Y, self.L
+        ax = X[a[0]] + a[1] * L
+        ay = Y[a[0]] + a[2] * L
+        bx = X[b[0]] + b[1] * L
+        by = Y[b[0]] + b[2] * L
+        dx = bx - ax
+        dy = by - ay
+        r = _APEX_REACH * L
+        h2 = r * r / (dx * dx + dy * dy) - 0.25
+        s = math.sqrt(h2) if h2 > 0.0 else 0.0
+        ox = 0.5 * (ax + bx) - s * dy
+        oy = 0.5 * (ay + by) + s * dx
+        r2 = r * r
+        best = None
+        qx = qy = 0.0
+        for u in ids:
+            xu = X[u]
+            yu = Y[u]
+            for lx in range(math.ceil((ox - r - xu) / L),
+                            math.floor((ox + r - xu) / L) + 1):
+                px = xu + lx * L
+                for ly in range(math.ceil((oy - r - yu) / L),
+                                math.floor((oy + r - yu) / L) + 1):
+                    py = yu + ly * L
+                    if (px - ox) ** 2 + (py - oy) ** 2 > r2:
+                        continue
+                    if orient2d(ax, ay, bx, by, px, py) <= 0:
+                        continue
+                    if best is None or incircle(ax, ay, bx, by, qx, qy,
+                                                px, py, a[0], b[0], best[0],
+                                                u) > 0:
+                        best = (u, lx, ly)
+                        qx, qy = px, py
+        return best
+
+    def _nearest_pair(self, ids):
+        """A lifted edge from the first of ``ids`` to its exactly nearest
+        other lift: its diametral disk is empty, so it is Delaunay."""
+        X, Y, L = self.X, self.Y, self.L
+        a = ids[0]
+        ax, ay = Fraction(X[a]), Fraction(Y[a])
+        best = None
+        for u in ids:
+            for lx in (-1, 0, 1):
+                for ly in (-1, 0, 1):
+                    if u == a and lx == 0 and ly == 0:
+                        continue
+                    d2 = ((Fraction(X[u] + lx * L) - ax) ** 2
+                          + (Fraction(Y[u] + ly * L) - ay) ** 2)
+                    if best is None or d2 < best[0]:
+                        best = (d2, (u, lx, ly))
+        return (a, 0, 0), best[1]
+
+    # ------------------------------------------------------------------
     # cell extraction
 
     def cell_scan(self, v, eps2, ghosts=_EMPTY, bounded=False,
@@ -665,6 +872,8 @@ class Engine2D:
         L = self.L
         for t in self.live_triangles():
             tri = TRI[t]
+            if min(tri[3::2]) or min(tri[4::2]) or max(tri[3:]) > _LIFT_MAX:
+                return f"triangle {t} has unnormalised lifts"
             pts = self.triangle_frame_coords(t)
             if orient2d(pts[0][0], pts[0][1], pts[1][0], pts[1][1],
                         pts[2][0], pts[2][1]) <= 0:
@@ -708,18 +917,14 @@ class Engine2D:
 
 
 def build_engine(points, L, periodic):
-    """Build an engine for the given canonical points, or None if no
-    builder can represent them (tiny or wrap-degenerate configurations).
+    """Build an engine for the given canonical points, or None if the
+    seeded builder aborts, which no known start makes it do.
 
-    The square inserts the points into an exactly resolved ghost frame.
-    The torus tries a library triangulation of a replicated copy of the
-    points first; configurations it cannot triangulate consistently fall
-    back to inserting the points into an exactly resolved seed lattice.
+    The square inserts the points into an exactly resolved ghost frame,
+    the torus into an exactly resolved seed lattice whose seeds it then
+    deletes.
     """
     if periodic:
-        eng = _torus_engine(points, L)
-        if eng is not None and eng.validate() is None:
-            return eng
         return _seeded_torus_engine(points, L)
     return _seeded_square_engine(points, L)
 
@@ -732,160 +937,50 @@ def _rotate_min(tri):
     return min(a, b, c)
 
 
-def _stitch(eng, allow_hull):
-    """Fill NBR from TRI; return an error string or None."""
+def _arc_ends(tri, e):
+    """Lifted corners (id, lift_x, lift_y) at the ends of side e of a
+    triangle record, in counterclockwise order."""
+    k1 = _NXT[e]
+    k2 = _NX2[e]
+    return ((tri[k1], tri[3 + 2 * k1], tri[4 + 2 * k1]),
+            (tri[k2], tri[3 + 2 * k2], tri[4 + 2 * k2]))
+
+
+def _arc(a, b):
+    """Key of the directed quotient edge between two lifted corners."""
+    return (a[0], b[0], b[1] - a[1], b[2] - a[2])
+
+
+def _edge_key(tri, e):
+    """Key ``(i, j, dx, dy)`` of the undirected quotient edge on side e of a
+    triangle record, and the lift of its anchor corner in the record's
+    frame: the edge runs from generator i at the anchor to the lift
+    (dx, dy) of generator j, from the lesser lifted corner to the greater.
+    Both triangles on an edge give it the same key."""
+    a, b = _arc_ends(tri, e)
+    if b < a:
+        a, b = b, a
+    return _arc(a, b), a[1:]
+
+
+def _stitch(eng):
+    """Fill NBR from TRI: join the two sides of every quotient edge (a
+    hull edge between the square's ghosts has one)."""
     edges = {}
-    TRI = eng.TRI
-    for t, tri in enumerate(TRI):
-        for e in range(3):
-            k1 = (e + 1) % 3
-            k2 = (e + 2) % 3
-            i, j = tri[k1], tri[k2]
-            li = (tri[3 + 2 * k1], tri[4 + 2 * k1])
-            lj = (tri[3 + 2 * k2], tri[4 + 2 * k2])
-            if i < j:
-                key = (i, j, lj[0] - li[0], lj[1] - li[1])
-                anchor = li
-            elif j < i:
-                key = (j, i, li[0] - lj[0], li[1] - lj[1])
-                anchor = lj
-            else:
-                d = (lj[0] - li[0], lj[1] - li[1])
-                if d == (0, 0):
-                    return "triangle with a repeated corner"
-                if d < (0, 0):
-                    d = (-d[0], -d[1])
-                    anchor = lj
-                else:
-                    anchor = li
-                key = (i, i, d[0], d[1])
-            edges.setdefault(key, []).append((t, e, anchor))
-    for key, refs in edges.items():
-        if len(refs) == 1:
-            if not allow_hull:
-                return "unmatched interior edge"
-            t, e, _ = refs[0]
-            tri = TRI[t]
-            k1, k2 = (e + 1) % 3, (e + 2) % 3
-            if tri[k1] not in eng.ghosts or tri[k2] not in eng.ghosts:
-                return "hull edge touches a real generator"
-            continue
-        if len(refs) != 2:
-            return "edge shared by more than two triangles"
-        (t1, e1, a1), (t2, e2, a2) = refs
-        dx, dy = a1[0] - a2[0], a1[1] - a2[1]
-        eng.NBR[t1][e1] = (t2, e2, dx, dy)
-        eng.NBR[t2][e2] = (t1, e1, -dx, -dy)
-    return None
-
-
-def _finalize(eng, tri_records, real_ids):
-    eng.TRI = list(tri_records)
-    eng.NBR = [[None, None, None] for _ in tri_records]
-    eng.CC = [None] * len(tri_records)
-    eng.free = []
-    eng.live = len(tri_records)
-    for t in range(len(tri_records)):
-        pts = eng.triangle_frame_coords(t)
-        try:
-            eng.CC[t] = circumcenter(pts[0][0], pts[0][1], pts[1][0],
-                                     pts[1][1], pts[2][0], pts[2][1])
-        except ZeroDivisionError:
-            return None
-    err = _stitch(eng, allow_hull=not eng.periodic)
-    if err is not None:
-        return None
     for t, tri in enumerate(eng.TRI):
-        for c in range(3):
-            eng.incident[tri[c]] = (t, c)
-    if set(eng.incident) != set(real_ids) | set(eng.ghosts):
-        return None
-    eng.rebucket(len(real_ids), real_ids)
-    return eng
-
-
-def _torus_engine(points, L):
-    try:
-        from scipy.spatial import Delaunay as _SciDelaunay
-        from scipy.spatial import QhullError
-    except ImportError:  # pragma: no cover
-        return None
-    n = len(points)
-    if n < 3:
-        return None
-    base = np.asarray(points, dtype=float)
-    margin = 1e-9 * L
-    for reps in (1, 2):
-        offs = [(ox, oy) for oy in range(-reps, reps + 1)
-                for ox in range(-reps, reps + 1)]
-        stacked = np.vstack([base + [ox * L, oy * L] for ox, oy in offs])
-        try:
-            dt = _SciDelaunay(stacked)
-        except (QhullError, ValueError):
-            return None
-        lo = -reps * L + margin
-        hi = (reps + 1) * L - margin
-        tris = {}
-        certified = True
-        for simplex in dt.simplices:
-            corners = []
-            central = False
-            for q in simplex:
-                r, i = divmod(int(q), n)
-                ox, oy = offs[r]
-                if ox == 0 and oy == 0:
-                    central = True
-                corners.append((i, ox, oy))
-            if not central:
-                continue
-            pts = [(base[i, 0] + ox * L, base[i, 1] + oy * L)
-                   for i, ox, oy in corners]
-            o = orient2d(pts[0][0], pts[0][1], pts[1][0], pts[1][1],
-                         pts[2][0], pts[2][1])
-            if o == 0:
-                certified = False
-                break
-            if o < 0:
-                corners[1], corners[2] = corners[2], corners[1]
-                pts[1], pts[2] = pts[2], pts[1]
-            try:
-                ccx, ccy = circumcenter(pts[0][0], pts[0][1], pts[1][0],
-                                        pts[1][1], pts[2][0], pts[2][1])
-            except ZeroDivisionError:
-                certified = False
-                break
-            rad = math.hypot(pts[0][0] - ccx, pts[0][1] - ccy)
-            if not (ccx - rad >= lo and ccx + rad <= hi
-                    and ccy - rad >= lo and ccy + rad <= hi):
-                # the empty disk is not certifiably inside the replication
-                # block, so emptiness in the infinite periodic set is unknown
-                certified = False
-                break
-            mx = min(c[1] for c in corners)
-            my = min(c[2] for c in corners)
-            if (max(c[1] for c in corners) - mx > _LIFT_MAX
-                    or max(c[2] for c in corners) - my > _LIFT_MAX):
-                certified = False
-                break
-            rec = (corners[0][0], corners[1][0], corners[2][0],
-                   corners[0][1] - mx, corners[0][2] - my,
-                   corners[1][1] - mx, corners[1][2] - my,
-                   corners[2][1] - mx, corners[2][2] - my)
-            key = _rotate_min(rec)
-            tris[key] = key
-        if not certified or len(tris) != 2 * n:
-            continue
-        eng = Engine2D(L, True, [float(p[0]) for p in points],
-                       [float(p[1]) for p in points])
-        eng = _finalize(eng, sorted(tris), range(n))
-        if eng is not None:
-            return eng
-    return None
+        for e in range(3):
+            key, anchor = _edge_key(tri, e)
+            edges.setdefault(key, []).append((t, e, anchor))
+    for refs in edges.values():
+        if len(refs) == 2:
+            (t1, e1, a1), (t2, e2, a2) = refs
+            dx, dy = a1[0] - a2[0], a1[1] - a2[1]
+            eng.NBR[t1][e1] = (t2, e2, dx, dy)
+            eng.NBR[t2][e2] = (t1, e1, -dx, -dy)
 
 
 # ----------------------------------------------------------------------
-# seeded incremental construction (the square's builder, and the torus's
-# when the library triangulation cannot be certified)
+# seeded incremental construction
 
 
 _GHOST_CORNERS = ((-8.0, -8.0), (9.0, -8.0), (9.0, 9.0), (-8.0, 9.0))
@@ -923,8 +1018,10 @@ def _seeded_torus_engine(points, L):
     then remove the nine lattice seeds.
 
     A 3x3 lattice keeps the largest empty disk below L/4 for the whole
-    insertion phase, which rules out every torus-wrap abort of ``insert``:
-    two periods of the same triangle can never both meet a cavity.
+    insertion phase, so every insert takes the disk-shaped fast path: two
+    periods of the same triangle can never both meet a cavity.  Deleting a
+    seed far from clustered points leaves a hole that touches its own
+    period, which ``delete`` refills in the universal cover.
     """
     n = len(points)
     if n < 1:
@@ -975,9 +1072,15 @@ def _insert_into_seeds(points, L, periodic, seeds, recs):
     X = [p[0] for p in points] + [s[0] for s in seeds]
     Y = [p[1] for p in points] + [s[1] for s in seeds]
     eng = Engine2D(L, periodic, X, Y, ghosts=() if periodic else sid)
-    eng = _finalize(eng, sorted(recs), sid)
-    if eng is None:
-        return None
+    eng.TRI = sorted(recs)
+    eng.NBR = [[None, None, None] for _ in eng.TRI]
+    eng.CC = [circumcenter(*[z for p in eng.triangle_frame_coords(t)
+                             for z in p]) for t in range(len(eng.TRI))]
+    eng.live = len(eng.TRI)
+    _stitch(eng)
+    for t, tri in enumerate(eng.TRI):
+        for c in range(3):
+            eng.incident[tri[c]] = (t, c)
     eng.rebucket(n, ())
     start = n
     try:

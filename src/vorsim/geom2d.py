@@ -40,53 +40,6 @@ def polygon_area(pts):
     return 0.5 * total
 
 
-def clip_polygon_rect(pts, labels, x0, x1, y0, y1):
-    """Clip a labelled polygon to an axis-aligned rectangle.
-
-    ``labels[i]`` names the origin of the edge from ``pts[i]`` to
-    ``pts[i+1]``; edges created along the rectangle sides are labelled
-    ``BOUNDARY``.  Returns ``(pts, labels)`` of the clipped polygon (possibly
-    empty).
-    """
-    # Half-plane functions f(p) <= 0 <=> inside.
-    planes = (
-        lambda p: x0 - p[0],
-        lambda p: p[0] - x1,
-        lambda p: y0 - p[1],
-        lambda p: p[1] - y1,
-    )
-    for f in planes:
-        if not pts:
-            return [], []
-        out_p = []
-        out_l = []
-        n = len(pts)
-        fv = [f(p) for p in pts]
-        for i in range(n):
-            a = pts[i]
-            b = pts[(i + 1) % n]
-            fa = fv[i]
-            fb = fv[(i + 1) % n]
-            la = labels[i]
-            ain = fa <= 0.0
-            bin_ = fb <= 0.0
-            if ain:
-                out_p.append(a)
-                out_l.append(la)
-                if not bin_:
-                    t = fa / (fa - fb)
-                    out_p.append((a[0] + t * (b[0] - a[0]),
-                                  a[1] + t * (b[1] - a[1])))
-                    out_l.append(BOUNDARY)
-            elif bin_:
-                t = fa / (fa - fb)
-                out_p.append((a[0] + t * (b[0] - a[0]),
-                              a[1] + t * (b[1] - a[1])))
-                out_l.append(la)
-        pts, labels = out_p, out_l
-    return pts, labels
-
-
 def halfplane_area(pts, nx, ny, c):
     """Area of ``polygon  ∩  {nx*x + ny*y <= c}`` without building it.
 
@@ -164,6 +117,15 @@ def clip_polygon_halfplane(pts, labels, nx, ny, c, new_label):
     return out_p, out_l
 
 
+def _clip_box(pts, x0, x1, y0, y1):
+    """Clip a polygon to the box [x0, x1] x [y0, y1], one side at a time."""
+    labels = [BOUNDARY] * len(pts)
+    for nx, ny, c in ((-1.0, 0.0, -x0), (1.0, 0.0, x1),
+                      (0.0, -1.0, -y0), (0.0, 1.0, y1)):
+        pts, labels = clip_polygon_halfplane(pts, labels, nx, ny, c, BOUNDARY)
+    return pts
+
+
 def _grid_cell_overlap(pts, grid, L):
     """Integral of a piecewise-constant grid over a polygon within [0, L]^2."""
     if not pts:
@@ -178,15 +140,13 @@ def _grid_cell_overlap(pts, grid, L):
     r0 = max(int(math.floor(min(ys) / wy)), 0)
     r1 = min(int(math.ceil(max(ys) / wy)), nrows)
     total = 0.0
-    labels = [0] * len(pts)
     for c in range(c0, c1):
-        strip, slab = clip_polygon_rect(pts, labels, c * wx, (c + 1) * wx,
-                                        0.0, L)
+        strip = _clip_box(pts, c * wx, (c + 1) * wx, 0.0, L)
         if not strip:
             continue
         for r in range(r0, r1):
-            piece, _ = clip_polygon_rect(strip, slab, c * wx, (c + 1) * wx,
-                                         r * wy, (r + 1) * wy)
+            piece = _clip_box(strip, c * wx, (c + 1) * wx,
+                              r * wy, (r + 1) * wy)
             if piece:
                 total += grid[r, c] * abs(polygon_area(piece))
     return total
@@ -202,12 +162,10 @@ def polygon_grid_measure(pts, grid, L, periodic):
     if not periodic:
         return _grid_cell_overlap(pts, grid, L)
     total = 0.0
-    labels = [0] * len(pts)
     for ox in (-1, 0, 1):
         for oy in (-1, 0, 1):
-            piece, _ = clip_polygon_rect(pts, labels,
-                                         ox * L, (ox + 1) * L,
-                                         oy * L, (oy + 1) * L)
+            piece = _clip_box(pts, ox * L, (ox + 1) * L,
+                              oy * L, (oy + 1) * L)
             if piece:
                 shifted = [(p[0] - ox * L, p[1] - oy * L) for p in piece]
                 total += _grid_cell_overlap(shifted, grid, L)

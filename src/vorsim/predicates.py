@@ -7,6 +7,11 @@ in-circle determinant (cocircular points) is resolved by symbolically
 perturbing the paraboloid lifting of each point downward by an amount that
 decreases with the point's id, so ties always break the same way for the
 same generators and the resulting triangulation stays globally consistent.
+Periodic images of one generator share its id, so four images of at most
+two generators (a rectangle of images) can stay tied; a second, smaller
+perturbation that decreases with the point's position in lexicographic
+order breaks those ties.  A lattice translation keeps that order, so every
+period of a tie breaks the same way.
 """
 
 from fractions import Fraction
@@ -23,9 +28,8 @@ _ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 class PerturbationFailure(VorsimError):
     """The symbolic perturbation could not resolve a degenerate in-circle test.
 
-    Only reachable for multiply-covered quadruples (two periodic images of
-    each of two generators, exactly cocircular); callers fall back to a full
-    rebuild through a triangulation-free path.
+    Only reachable when all four points are collinear, which no caller
+    passes: ``incircle`` needs a counterclockwise triangle (a, b, c).
     """
 
 
@@ -149,5 +153,12 @@ def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy, ia, ib, ic, id_):
             return -1
         if coeff < 0:
             return 1
-    raise PerturbationFailure(
-        "cocircular quadruple not resolvable by the id-indexed perturbation")
+    # Still tied: at most two generators, e.g. a rectangle of periodic
+    # images.  Every point now carries its own, smaller epsilon, largest for
+    # the lexicographically least point.
+    for r in sorted(range(4), key=rows.__getitem__):
+        (px, py), (qx, qy), (sx, sy) = [rows[k] for k in range(4) if k != r]
+        minor = (qx - px) * (sy - py) - (qy - py) * (sx - px)
+        if minor:
+            return -1 if (minor > 0) == (r % 2 == 0) else 1
+    raise PerturbationFailure("in-circle test on four collinear points")

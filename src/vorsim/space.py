@@ -107,12 +107,6 @@ class Space:
 
     # -- measure -----------------------------------------------------------
 
-    def cell_sizes(self, grid):
-        """Side lengths of one density-grid cell (per axis)."""
-        if self.dim == 1:
-            return (self.size / grid.shape[0],)
-        return (self.size / grid.shape[1], self.size / grid.shape[0])
-
     def density_at(self, point, grid):
         """Grid value at a canonical point (lower-closed cell convention)."""
         L = self.size

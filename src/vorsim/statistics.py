@@ -379,7 +379,7 @@ def estimate_drift(trajectory, region, min_bin_count=50,
     Raises
     ------
     InsufficientData
-        If no N_A value accumulates ``min_bin_count`` events; after a
+        If no N_A > 0 value accumulates ``min_bin_count`` events; after a
         collapse cut the message names the collapse step and the number
         of events kept.
     ConfigError
@@ -425,11 +425,13 @@ def estimate_drift(trajectory, region, min_bin_count=50,
     counts = np.bincount(pre, minlength=top + 1)
     sums = np.bincount(pre, weights=dn.astype(float), minlength=top + 1)
     ok = counts >= int(min_bin_count)
-    if not ok.any():
+    if not ok[1:].any():
+        # the N_A = 0 bin alone carries no information on K
+        which = "N_A > 0" if ok[0] else "N_A"
         cut = "" if collapse is None else \
             f" ({dn.size} events kept up to the collapse at step {collapse})"
         raise InsufficientData(
-            f"no N_A bin reaches {min_bin_count} events{cut}")
+            f"no {which} bin reaches {min_bin_count} events{cut}")
     na = np.nonzero(ok)[0].astype(float)
     means = sums[ok] / counts[ok]
     w = counts[ok].astype(float)

@@ -2,12 +2,14 @@
 
 A tessellation is backed by one of three structures: a sorted-order arc
 structure in one dimension, an incremental Delaunay engine in two, or a
-direct half-plane clipping fallback for configurations the engine cannot
-represent (fewer than three torus points, or a start that no builder can
-triangulate, such as the 2x2 torus lattice).  All backends answer the same
-questions: cell volumes under the reference density, neighbour sets over
-shared positive-length cell boundaries, and which cells changed after
-replacing or removing a point.
+direct half-plane clipping fallback.  The fallback runs for fewer than
+three torus points, and as a last resort when the engine's static build
+aborts, which no start is known to make it do.  All backends answer the
+same questions: cell volumes under the reference density, neighbour sets
+over shared positive-length cell boundaries, and which cells changed after
+replacing or removing a point.  An engine update that raises ``Abort2D``
+rebuilds the backend; torus updates whose hole touches another period of
+itself are handled by the engine in place, so that too is a last resort.
 
 In one dimension the build sorts the points once; that sort serves the
 duplicate check, the engine's key list and one vectorised pass that fills

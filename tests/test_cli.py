@@ -90,6 +90,25 @@ def test_simulate_thinning_to_one_survivor_skips_summary(tmp_path, capsys):
     assert "fitted_K=" in msg or "drift skipped" in msg
 
 
+def test_simulate_skips_a_drift_fit_with_only_the_empty_region_bin(
+        tmp_path, capsys):
+    # the region [0, 0.5] empties early, so every later event falls in the
+    # N_A = 0 bin, the only one with 50 events: there is nothing to fit
+    cfg = {"schema_version": 1,
+           "space": {"kind": "interval", "size": 1.0,
+                     "density": [1.0, 3.0, 0.5, 2.0]},
+           "process": {"N": 500, "T": 499, "seed": 4, "mode": "thinning",
+                       "selection": {"kind": "volume_power", "alpha": 1.5}},
+           "statistics": {"region": [0.0, 0.5]}}
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", out]) == 0
+    msg = capsys.readouterr().out
+    assert "drift skipped (no N_A > 0 bin reaches 50 events)" in msg
+    assert "fitted_K" not in msg
+    assert not os.path.exists(os.path.join(out, "drift.csv"))
+
+
 def test_seed_flag_overrides_and_is_reported(tmp_path, capsys):
     cfg = dict(CONFIG_1D)
     cfg["process"] = dict(CONFIG_1D["process"])

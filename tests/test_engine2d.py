@@ -5,9 +5,8 @@ import pytest
 from scipy.spatial import Delaunay
 
 from helpers import neighbor_pairs, random_points
-from vorsim import engine2d
+from vorsim import engine2d, tessellation
 from vorsim.process import initial_configuration
-from vorsim.space import Space
 from vorsim.tessellation import build, oracle_cell_stats
 
 
@@ -16,11 +15,8 @@ def _lattice(g):
 
 
 @pytest.mark.parametrize("g", [3, 4, 8])
-def test_seeded_torus_builder_on_exact_lattices(torus, g, monkeypatch):
+def test_seeded_torus_builder_on_exact_lattices(torus, g):
     pts = _lattice(g)
-    assert engine2d._seeded_torus_engine(pts, 1.0).validate() is None
-    # take the library builder out, so the tessellation runs on the seeded one
-    monkeypatch.setattr(engine2d, "_torus_engine", lambda points, L: None)
     t = build(pts, torus)
     assert t.backend == "delaunay2d"
     assert t._eng.validate() is None
@@ -28,12 +24,16 @@ def test_seeded_torus_builder_on_exact_lattices(torus, g, monkeypatch):
     assert set(t.degrees().tolist()) == {4}
 
 
-def test_torus_2x2_lattice_falls_back_to_clipping(torus):
-    pts = _lattice(2)
-    assert engine2d._seeded_torus_engine(pts, 1.0) is None
-    t = build(pts, torus)
-    assert t.backend == "clip2d"
+def test_torus_2x2_lattice_builds_on_the_triangulation(torus):
+    # each generator's images tie with the others' on every lattice
+    # square; the position-ordered perturbation breaks those ties
+    t = build(_lattice(2), torus)
+    assert t.backend == "delaunay2d"
+    assert t._eng.validate() is None
     assert list(t.cell_volumes()) == [0.25] * 4
+    # a cell's left and right neighbours are one generator, as are the
+    # cells above and below it
+    assert t.neighbor_sets() == [{1, 2}, {0, 3}, {0, 3}, {1, 2}]
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 8])
@@ -62,6 +62,35 @@ def test_collapsed_torus_starts_build_and_match_the_oracle(torus, n):
         # 256 cells in the disk are a few samples wide, too few to read
         # their adjacency off the sample grid
         assert {p for p, c in counts.items() if c > 2} <= neighbor_pairs(t)
+
+
+def _torus_start(torus, kind, n, seed):
+    if kind == "cluster":
+        return initial_configuration(torus, n, {"kind": "single_cluster",
+                                                "radius": 0.05},
+                                     np.random.default_rng(seed))
+    return random_points(np.random.default_rng(seed), torus, n)
+
+
+@pytest.mark.parametrize("kind,n", [("cluster", 3), ("cluster", 4),
+                                    ("cluster", 16), ("cluster", 256),
+                                    ("uniform", 3), ("uniform", 4),
+                                    ("uniform", 6), ("uniform", 10)])
+def test_torus_starts_build_on_the_triangulation(torus, kind, n,
+                                                 monkeypatch):
+    # deleting the seed lattice from these starts meets stars that touch
+    # another period of their own vertex
+    for seed in range(3):
+        pts = _torus_start(torus, kind, n, seed)
+        t = build(pts, torus)
+        assert t.backend == "delaunay2d"
+        assert t._eng.validate() is None
+        with monkeypatch.context() as m:
+            m.setattr(tessellation, "build_engine", lambda *args: None)
+            ref = build(pts, torus)
+        assert ref.backend == "clip2d"
+        assert np.max(np.abs(t.cell_volumes() - ref.cell_volumes())) <= 1e-12
+        assert t.neighbor_sets() == ref.neighbor_sets()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50, 2000])

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vorsim.geom2d import (circumcenter, clip_polygon_halfplane,
-                           clip_polygon_rect, halfplane_area,
-                           polygon_area, polygon_grid_measure)
+from vorsim.geom2d import (BOUNDARY, circumcenter, clip_polygon_halfplane,
+                           halfplane_area, polygon_area,
+                           polygon_grid_measure)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -49,8 +49,13 @@ def test_clip_halfplane_empty_and_full():
 
 
 def test_clip_rect_frozen_area():
-    pts, _ = clip_polygon_rect(UNIT_SQUARE, [0, 1, 2, 3], 0.1, 0.4, 0.2, 0.9)
+    # a box is four half-planes: 0.1 <= x <= 0.4, 0.2 <= y <= 0.9
+    pts, labels = UNIT_SQUARE, [0, 1, 2, 3]
+    for nx, ny, c in ((-1.0, 0.0, -0.1), (1.0, 0.0, 0.4),
+                      (0.0, -1.0, -0.2), (0.0, 1.0, 0.9)):
+        pts, labels = clip_polygon_halfplane(pts, labels, nx, ny, c, BOUNDARY)
     assert abs(abs(polygon_area(pts)) - 0.3 * 0.7) < 1e-12
+    assert labels == [BOUNDARY] * 4
 
 
 def test_halfplane_area_equals_clip_then_area():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import all_spaces, neighbor_pairs, random_points
+from vorsim import tessellation
 from vorsim.errors import DuplicatePoints
-from vorsim.process import InitSpec, initial_configuration
+from vorsim.process import (InitSpec, ProcessParams, SelectionSpec,
+                            initial_configuration, run)
 from vorsim.space import Space
 from vorsim.tessellation import Tessellation, build, replace_point
 
@@ -131,8 +133,48 @@ def test_collapsed_torus_removals_rebuild_and_keep_indices(monkeypatch):
     pts = initial_configuration(torus, 32, InitSpec("single_cluster"),
                                 np.random.default_rng(32))
     rebuilds = _thin_to_one(torus, pts, 33, 1.0, monkeypatch)
-    # a removal that leaves three or more points rebuilds on Abort2D only
-    assert any(m >= 3 for m in rebuilds)
+    # removals that touch another period of the vertex update in place;
+    # only thinning below three points rebuilds (on clip2d)
+    assert rebuilds == [2, 1]
+
+
+@pytest.mark.parametrize("mode,T", [("replacement", 300),
+                                    ("thinning", 255)])
+def test_collapsed_torus_chain_updates_in_place(mode, T, monkeypatch):
+    # at alpha = 3 the chain removes the cluster's outer points, whose
+    # stars and cavities touch other periods of themselves
+    calls = []
+    real = tessellation.build_engine
+    monkeypatch.setattr(tessellation, "build_engine",
+                        lambda pts, L, periodic: calls.append(len(pts))
+                        or real(pts, L, periodic))
+
+    checked = []
+
+    def check(t, event, tess):
+        if (t + 1) % 50:
+            return
+        checked.append(t)
+        n_calls = len(calls)
+        fresh = build(list(tess.points), tess.space)
+        del calls[n_calls:]
+        if tess.backend == "delaunay2d":
+            assert tess._eng.validate() is None
+        assert tess.cell_volumes() == pytest.approx(fresh.cell_volumes(),
+                                                    rel=1e-9, abs=1e-12)
+        assert tess.neighbor_sets() == fresh.neighbor_sets()
+
+    params = ProcessParams(N=256, T=T, mode=mode,
+                           selection=SelectionSpec("volume_power", alpha=3.0),
+                           space=Space("torus", 1.0),
+                           init={"kind": "single_cluster", "radius": 0.05},
+                           seed=8, snapshot_every=1024)
+    tr = run(params, observers=[check])
+    assert len(checked) == T // 50
+    assert len(tr.final_points) == (256 if mode == "replacement" else 1)
+    # set-up builds the engine; thinning below four points rebuilds on
+    # clip2d, which calls no builder
+    assert calls == [256]
 
 
 def test_module_level_replace_reports_affected_cells(circle):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from vorsim.predicates import incircle, orient2d, orient2d_exact
@@ -93,3 +94,22 @@ def test_incircle_tie_break_depends_on_indices_not_call_order():
     s1 = incircle(*args, 3, 7, 12, 20)
     s2 = incircle(*args, 3, 7, 12, 20)
     assert s1 != 0 and s1 == s2
+
+
+@pytest.mark.parametrize("quad,ids", [
+    ([(0.25, 0.5), (1.25, 0.5), (1.25, 1.5), (0.25, 1.5)], (5, 5, 5, 5)),
+    ([(0.25, 0.5), (1.25, 0.5), (1.25, 0.75), (0.25, 0.75)], (0, 0, 1, 1)),
+    ([(0.5, 0.25), (0.75, 0.25), (0.75, 1.25), (0.5, 1.25)], (0, 1, 1, 0))])
+def test_incircle_breaks_ties_between_periodic_images(quad, ids):
+    # a rectangle whose corners are unit-period images of at most two
+    # generators stays tied under the id perturbation; the position-ordered
+    # one must still act as one lifting: turning the quadruple by one
+    # corner is an odd permutation of the lifted determinant, by two an
+    # even one
+    signs = []
+    for k in range(4):
+        q = quad[k:] + quad[:k]
+        i = ids[k:] + ids[:k]
+        signs.append(incircle(*q[0], *q[1], *q[2], *q[3], *i))
+    assert signs[1] == -signs[0] and signs[2] == signs[0]
+    assert signs[3] == -signs[0]

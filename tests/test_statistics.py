@@ -272,6 +272,21 @@ def test_drift_estimate_needs_enough_data(circle):
         estimate_drift(tr, region, min_bin_count=10_000)
 
 
+def test_drift_estimate_needs_a_bin_with_points_in_the_region():
+    interval = Space("interval", 1.0, density=[1.0, 3.0, 0.5, 2.0])
+    params = ProcessParams(N=500, T=499, mode="thinning",
+                           selection=SelectionSpec("volume_power", alpha=1.5),
+                           space=interval, init="iid_mu", seed=4,
+                           snapshot_every=1024)
+    tr = run(params)
+    region = TestRegion(interval, (0.0, 0.5))
+    with pytest.raises(InsufficientData,
+                       match="no N_A > 0 bin reaches 50 events"):
+        estimate_drift(tr, region)
+    # with smaller bins the occupied counts are fitted as before
+    assert np.isfinite(estimate_drift(tr, region, min_bin_count=5).fitted_K)
+
+
 def test_drift_estimate_thinning_has_no_insertion_mass(circle):
     params = ProcessParams(N=256, T=200, mode="thinning",
                            selection=SelectionSpec("volume_power", alpha=0.5),
