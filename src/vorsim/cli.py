@@ -70,7 +70,7 @@ def _snapshot_csv_lines(trajectory, dim):
         degs = np.asarray(snap.degrees)
         for i, p in enumerate(snap.points):
             if dim == 2:
-                lines.append(f"{snap.step},{i},{p[0]!r},{p[1]!r},"
+                lines.append(f"{snap.step},{i},{float(p[0])!r},{float(p[1])!r},"
                              f"{float(vols[i])!r},{int(degs[i])}")
             else:
                 lines.append(f"{snap.step},{i},{float(p)!r},"
@@ -81,7 +81,8 @@ def _snapshot_csv_lines(trajectory, dim):
 def _points_csv_lines(points, dim):
     lines = ["x,y"] if dim == 2 else ["x"]
     for p in points:
-        lines.append(f"{p[0]!r},{p[1]!r}" if dim == 2 else f"{float(p)!r}")
+        lines.append(f"{float(p[0])!r},{float(p[1])!r}" if dim == 2
+                     else f"{float(p)!r}")
     return lines
 
 

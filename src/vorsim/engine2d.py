@@ -23,9 +23,19 @@ period.  Such a hole is retriangulated in the universal cover instead
 (``_fill_hole``): every quotient triangle of the hole goes, and the Delaunay
 triangles of its corners' lifts are wrapped outwards from the rim, one per
 directed edge, normalised and deduplicated with ``_rotate_min`` and stitched
-by quotient edge keys.  Any situation neither path can represent (an
-oversized cavity, an inconsistent ring, a refill of the wrong size) raises
-``Abort2D`` before any mutation, and the caller rebuilds from scratch.
+by quotient edge keys.  Two facts shorten an insert there.  Every triangle
+an insertion creates has the new vertex at a corner (Watson, 1981), so the
+triangle beyond a rim side, whose two corners are old, takes its apex among
+the new vertex's lifts.  And the Delaunay triangulation of a periodic point
+set is unique under the symbolic perturbation (Caroli and Teillaud, 2016),
+so deleting the vertex just inserted brings back exactly the triangles its
+insert removed: the insert keeps what it overwrote, and a ``delete`` of the
+same vertex restores it.  ``insert`` and ``delete`` clear that record when
+they start, so it never outlives the next mutation.
+
+Any situation neither path can represent (an oversized cavity, an
+inconsistent ring, a refill of the wrong size) raises ``Abort2D`` before
+any mutation, and the caller rebuilds from scratch.
 
 Static builds insert the points, in a biased randomized insertion order,
 into an exactly resolved seed complex: the ghost frame (square) or a 3x3
@@ -75,6 +85,7 @@ class Engine2D:
         self.nbuckets = 1
         self.bucket_w = L
         self.buckets = {}
+        self._undo = None    # what the last general-path insert overwrote
 
     # ------------------------------------------------------------------
     # bucket grid (locate acceleration and exact-duplicate detection)
@@ -110,6 +121,8 @@ class Engine2D:
         s = self.buckets.get(key)
         if s is not None:
             s.discard(v)
+            if not s:
+                del self.buckets[key]
 
     def has_exact(self, x, y):
         s = self.buckets.get(self._bucket_xy(x, y))
@@ -125,19 +138,16 @@ class Engine2D:
         X, Y, L = self.X, self.Y, self.L
         for r in range(n + 1):
             found = []
-            for dx in range(-r, r + 1):
-                for dy in range(-r, r + 1):
-                    if max(abs(dx), abs(dy)) != r:
-                        continue
-                    cx, cy = bx + dx, by + dy
-                    if per:
-                        cx %= n
-                        cy %= n
-                    elif not (0 <= cx < n and 0 <= cy < n):
-                        continue
-                    s = self.buckets.get((cx, cy))
-                    if s:
-                        found.extend(s)
+            for dx, dy in _ring_offsets(r):
+                cx, cy = bx + dx, by + dy
+                if per:
+                    cx %= n
+                    cy %= n
+                elif not (0 <= cx < n and 0 <= cy < n):
+                    continue
+                s = self.buckets.get((cx, cy))
+                if s:
+                    found.extend(s)
             if found:
                 best = None
                 bestkey = None
@@ -219,6 +229,7 @@ class Engine2D:
     def insert(self, v, start=None):
         """Insert vertex v (coords already stored); returns affected ids.
         ``start`` is the vertex ``locate`` walks from."""
+        self._undo = None
         x = self.X[v]
         y = self.Y[v]
         t0, sx0, sy0 = self.locate(x, y, start)
@@ -374,6 +385,9 @@ class Engine2D:
 
     def delete(self, v):
         """Remove vertex v, retriangulating its link; returns affected ids."""
+        undo, self._undo = self._undo, None
+        if undo is not None and undo[0] == v:
+            return self._undo_insert(undo)
         TRI, NBR = self.TRI, self.NBR
         X, Y, L = self.X, self.Y, self.L
         NXT = _NXT
@@ -586,6 +600,17 @@ class Engine2D:
         fewer (delete) or two more (insert); anything else raises
         ``Abort2D`` before any mutation.  A hole that is the whole
         triangulation has no rim; its refill starts from a nearest pair.
+
+        An insert wraps every rim side first, taking the apex among the
+        lifts of ``new`` alone: every triangle an insertion creates has
+        the new vertex at a corner (Watson, 1981), and a rim side's two
+        corners are old.  The sides left over are wrapped over the lifts
+        of all corners.  An insert's commit also keeps what it overwrote
+        in ``_undo``.  The Delaunay triangulation of a periodic point set
+        is unique under the symbolic perturbation, so deleting ``new``
+        again brings back exactly the triangles its insert removed:
+        ``delete`` restores the record instead of refilling.  ``insert``
+        and ``delete`` clear the record when they start.
         """
         TRI, NBR, X, Y, L = self.TRI, self.NBR, self.X, self.Y, self.L
         inside = set(hole)
@@ -603,20 +628,20 @@ class Engine2D:
         rim = [(rec[0], rec[1]) for t in hole for rec in NBR[t]
                if rec[0] not in inside]
         done = set()
-        front = []
+        rim_sides = []
         for t2, e2 in rim:
             a, b = _arc_ends(TRI[t2], e2)
             done.add(_arc(a, b))
-            front.append((b, a))
-        if not front:
-            a, b = self._nearest_pair(ids)
-            front = [(a, b), (b, a)]
+            rim_sides.append((b, a))
         plan = []
-        while front:
-            a, b = front.pop()
+        front = []
+
+        def wrap(a, b, cands):
+            # the triangle beyond the lifted side a -> b, its apex a lift
+            # of one of ``cands``; its other two sides go on the front
             if _arc(a, b) in done:
-                continue
-            c = self._apex(a, b, ids)
+                return
+            c = self._apex(a, b, cands)
             if c is None or len(plan) == want:
                 raise Abort2D("hole retriangulation does not close")
             mx = min(a[1], b[1], c[1])
@@ -632,6 +657,18 @@ class Engine2D:
                                     + a[1:] + b[1:] + c[1:]))
             front.append((c, b))
             front.append((a, c))
+
+        if new is None:
+            front.extend(rim_sides)
+        else:
+            for a, b in rim_sides:
+                wrap(a, b, (new,))
+        if not rim_sides:
+            a, b = self._nearest_pair(ids)
+            front.extend(((a, b), (b, a)))
+        while front:
+            a, b = front.pop()
+            wrap(a, b, ids)
         if len(plan) != want or {r[k] for r in plan for k in range(3)} \
                 != set(ids):
             raise Abort2D("hole retriangulation has the wrong size")
@@ -659,6 +696,11 @@ class Engine2D:
                 raise Abort2D("degenerate hole triangle") from None
 
         # ---- commit ----
+        if new is not None:
+            undo = (new, [(t, TRI[t], NBR[t], self.CC[t]) for t in hole],
+                    [(t2, e2, NBR[t2][e2]) for t2, e2 in rim],
+                    {u: self.incident[u] for u in ids if u != new},
+                    self.free[:], len(TRI))
         for t in hole:
             TRI[t] = None
             NBR[t] = None
@@ -693,6 +735,29 @@ class Engine2D:
             self.bucket_add(new)
             self.live += 2
             ids.remove(new)
+            self._undo = undo + (tids, ids)
+        return set(ids)
+
+    def _undo_insert(self, undo):
+        """Delete the vertex of the general-path insert that was the last
+        mutation, by putting back what that insert overwrote; returns the
+        ids the insert returned."""
+        v, hole, rim, incident, free, n_slots, tids, ids = undo
+        TRI, NBR, CC = self.TRI, self.NBR, self.CC
+        for t in tids:
+            TRI[t] = NBR[t] = CC[t] = None
+        for t, tri, nbr, cc in hole:
+            TRI[t] = tri
+            NBR[t] = nbr
+            CC[t] = cc
+        for t2, e2, rec in rim:
+            NBR[t2][e2] = rec
+        del TRI[n_slots:], NBR[n_slots:], CC[n_slots:]
+        self.free = free
+        del self.incident[v]
+        self.incident.update(incident)
+        self.bucket_remove(v)
+        self.live -= 2
         return set(ids)
 
     def _apex(self, a, b, ids):
@@ -927,6 +992,17 @@ def build_engine(points, L, periodic):
     if periodic:
         return _seeded_torus_engine(points, L)
     return _seeded_square_engine(points, L)
+
+
+def _ring_offsets(r):
+    """The 8r bucket offsets (dx, dy) with max(|dx|, |dy|) == r (one for
+    r = 0)."""
+    if r == 0:
+        return ((0, 0),)
+    side = range(-r, r + 1)
+    inner = range(1 - r, r)
+    return ([(d, -r) for d in side] + [(d, r) for d in side]
+            + [(-r, d) for d in inner] + [(r, d) for d in inner])
 
 
 def _rotate_min(tri):

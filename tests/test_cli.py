@@ -194,6 +194,30 @@ def test_sweep_alphas_flag_overrides_config(tmp_path):
     assert alphas == [0.2, 1.1]
 
 
+def _assert_numeric_csv(path):
+    lines = _read(path).decode().splitlines()
+    assert len(lines) > 1
+    for line in lines[1:]:
+        for field in line.split(","):
+            float(field)
+
+
+def test_2d_point_csvs_hold_plain_numbers(tmp_path):
+    # numpy scalars must not leak their repr ("np.float64(0.5)") into a
+    # table
+    cfgp = _write_config(tmp_path, CONFIG_2D)
+    out = str(tmp_path / "torus")
+    assert main(["simulate", "--config", cfgp, "--out-dir", out]) == 0
+    _assert_numeric_csv(os.path.join(out, "snapshots.csv"))
+    cfg = dict(CONFIG_2D, space={"kind": "square", "size": 1.0},
+               sweep={"alphas": [0.5]})
+    cfgp = _write_config(tmp_path, cfg, name="sweep.yaml")
+    out = str(tmp_path / "square")
+    assert main(["sweep", "--config", cfgp, "--out-dir", out,
+                 "--override", "process.T=40"]) == 0
+    _assert_numeric_csv(os.path.join(out, "snapshot_alpha_0.5.csv"))
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

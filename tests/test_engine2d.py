@@ -1,4 +1,7 @@
-"""Static 2D builds: exact lattices, collapsed starts and the Delaunay check."""
+"""Static 2D builds: exact lattices, collapsed starts and the Delaunay check;
+the engine's undo of the general-path insert."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -115,3 +118,81 @@ def test_square_build_is_the_delaunay_triangulation(square, n, monkeypatch):
     back = {int(k): i for i, k in enumerate(perm)}
     assert neighbor_pairs(u) == {tuple(sorted((back[a], back[b])))
                                  for a, b in neighbor_pairs(t)}
+
+
+def _collapsed_engine(torus, seed):
+    """Engine of 256 points in a disk of radius 0.05 around the centre of
+    the torus; the build's nine seed ids 256..264 are free for new
+    vertices."""
+    pts = initial_configuration(torus, 256, {"kind": "single_cluster",
+                                             "radius": 0.05},
+                                np.random.default_rng(seed))
+    return pts, engine2d.build_engine(pts, 1.0, True)
+
+
+def _state(eng):
+    return copy.deepcopy((eng.TRI, eng.NBR, eng.CC, eng.incident, eng.free,
+                          eng.live, eng.buckets))
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(engine2d.Engine2D, name)
+
+    def spy(self, *args, **kwargs):
+        calls.append(kwargs)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine2d.Engine2D, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_deleting_the_vertex_just_inserted_restores_the_engine(torus, seed,
+                                                               monkeypatch):
+    _, eng = _collapsed_engine(torus, seed)
+    fills = _spy(monkeypatch, "_fill_hole")
+    v = 256
+    # the corner of the torus is as far from the cluster as can be: the
+    # cavity of a point there meets itself around the torus
+    eng.X[v], eng.Y[v] = 0.013, 0.021
+    before = _state(eng)
+    aff = eng.insert(v)
+    assert fills == [{"new": v}]
+    assert eng.delete(v) == aff
+    assert len(fills) == 1
+    assert _state(eng) == before
+    assert eng.validate() is None
+
+
+def test_a_mutation_after_the_insert_drops_its_undo_record(torus,
+                                                          monkeypatch):
+    pts, eng = _collapsed_engine(torus, 0)
+    fills = _spy(monkeypatch, "_fill_hole")
+    undos = _spy(monkeypatch, "_undo_insert")
+    v, w = 256, 257
+    eng.X[v], eng.Y[v] = 0.013, 0.021
+    eng.X[w], eng.Y[w] = 0.5012, 0.4987
+    eng.insert(v)
+    eng.insert(w)
+    # v went through the universal cover, w (inside the cluster) did not
+    assert fills == [{"new": v}]
+    eng.delete(v)
+    assert undos == []
+    assert eng.validate() is None
+    fresh = engine2d.build_engine(pts + [(eng.X[w], eng.Y[w])], 1.0, True)
+    ids = list(range(256)) + [w]
+    for k, u in enumerate(ids):
+        vol, nbrs, _, _, _ = eng.cell_scan(u, 0.0)
+        vol_f, nbrs_f, _, _, _ = fresh.cell_scan(k, 0.0)
+        assert vol == pytest.approx(vol_f, rel=1e-9, abs=1e-15)
+        assert {ids.index(x) for x in nbrs} == set(nbrs_f)
+
+
+def test_ring_offsets_are_the_square_ring():
+    for r in range(6):
+        want = {(dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1)
+                if max(abs(dx), abs(dy)) == r}
+        got = engine2d._ring_offsets(r)
+        assert len(got) == len(want) == max(8 * r, 1)
+        assert set(got) == want

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import all_spaces, neighbor_pairs, random_points
-from vorsim import tessellation
+from vorsim import engine2d, tessellation
 from vorsim.errors import DuplicatePoints
 from vorsim.process import (InitSpec, ProcessParams, SelectionSpec,
                             initial_configuration, run)
@@ -175,6 +175,70 @@ def test_collapsed_torus_chain_updates_in_place(mode, T, monkeypatch):
     # set-up builds the engine; thinning below four points rebuilds on
     # clip2d, which calls no builder
     assert calls == [256]
+
+
+def test_collapsed_torus_refills_find_rim_apexes_and_undo_inserts(
+        monkeypatch):
+    # at alpha = 3 most steps remove the newest point, far from the
+    # cluster, and draw another: its insert refills a hole that touches
+    # another period of itself, and its delete undoes that insert
+    Engine2D = engine2d.Engine2D
+    corners = []
+    rim_calls = []
+    last = [None]      # vertex of a general-path insert that came last
+    deletes = []       # per delete: (undoable, refilled)
+    real_fill, real_apex = Engine2D._fill_hole, Engine2D._apex
+    real_insert, real_delete = Engine2D.insert, Engine2D.delete
+
+    def fill_hole(self, hole, gone=None, new=None):
+        ids = {self.TRI[t][k] for t in hole for k in range(3)}
+        corners.append(sorted((ids | {new}) - {gone, None}))
+        if gone is None:
+            last[0] = new
+        else:
+            deletes[-1][1] = True
+        return real_fill(self, hole, gone=gone, new=new)
+
+    def apex(self, a, b, ids):
+        got = real_apex(self, a, b, ids)
+        if len(ids) == 1:
+            # a rim side: its apex among the new vertex's lifts is the one
+            # among the lifts of every corner of the hole
+            rim_calls.append(got == real_apex(self, a, b, corners[-1]))
+        return got
+
+    def insert(self, v, start=None):
+        last[0] = None
+        return real_insert(self, v, start)
+
+    def delete(self, v):
+        deletes.append([last[0] == v, False])
+        last[0] = None
+        return real_delete(self, v)
+
+    for name, fn in (("_fill_hole", fill_hole), ("_apex", apex),
+                     ("insert", insert), ("delete", delete)):
+        monkeypatch.setattr(Engine2D, name, fn)
+    builds = []
+    real_build = tessellation.build_engine
+    monkeypatch.setattr(tessellation, "build_engine",
+                        lambda pts, L, periodic: builds.append(len(pts))
+                        or real_build(pts, L, periodic))
+    params = ProcessParams(N=256, T=300, mode="replacement",
+                           selection=SelectionSpec("volume_power", alpha=3.0),
+                           space=Space("torus", 1.0),
+                           init={"kind": "single_cluster", "radius": 0.05},
+                           seed=9, snapshot_every=1024)
+    run(params)
+    assert builds == [256]
+    assert len(rim_calls) > 1000 and all(rim_calls)
+    # the set-up build deletes its nine seeds; the chain deletes once a step
+    chain = deletes[9:]
+    assert len(chain) == 300
+    undone = [refilled for undoable, refilled in chain if undoable]
+    assert len(undone) > 100 and not any(undone)
+    # the rest refill when the point removed is not the newest one
+    assert sum(refilled for _, refilled in chain) < 0.15 * len(chain)
 
 
 def test_module_level_replace_reports_affected_cells(circle):
