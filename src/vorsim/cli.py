@@ -62,19 +62,39 @@ def _load(args):
 
 
 def _snapshot_csv_lines(trajectory, dim):
+    """The snapshots table: a header line, then one block of rows per
+    snapshot (a block joins its rows with newlines).
+
+    Rows are formatted by column.  A snapshot with as many points as the
+    one before it formats only the rows whose point, volume or degree
+    changed bits, and reuses the text after the step of the others.
+    """
     head = "step,index,x,y,cell_volume,degree" if dim == 2 \
         else "step,index,x,cell_volume,degree"
     lines = [head]
+    row = "{},{!r},{!r},{}" if dim == 1 else "{},{!r},{!r},{!r},{}"
+    prev = None
     for snap in trajectory.snapshots:
-        vols = np.asarray(snap.volumes, dtype=float)
-        degs = np.asarray(snap.degrees)
-        for i, p in enumerate(snap.points):
-            if dim == 2:
-                lines.append(f"{snap.step},{i},{float(p[0])!r},{float(p[1])!r},"
-                             f"{float(vols[i])!r},{int(degs[i])}")
-            else:
-                lines.append(f"{snap.step},{i},{float(p)!r},"
-                             f"{float(vols[i])!r},{int(degs[i])}")
+        pts = np.ascontiguousarray(snap.points, dtype=float).reshape(-1, dim)
+        vols = np.ascontiguousarray(snap.volumes, dtype=float)
+        degs = np.asarray(snap.degrees, dtype=np.int64)
+        bits = (pts.view(np.int64), vols.view(np.int64), degs)
+        if prev is not None and len(pts) == len(prev[1]):
+            old, rows = prev
+            changed = ((bits[0] != old[0]).any(axis=1)
+                       | (bits[1] != old[1]) | (bits[2] != old[2]))
+            rows = rows.copy()
+        else:
+            changed = np.ones(len(pts), dtype=bool)
+            rows = [None] * len(pts)
+        idx = np.flatnonzero(changed)
+        il = idx.tolist()
+        fresh = map(row.format, il, *pts[idx].T.tolist(),
+                    vols[idx].tolist(), degs[idx].tolist())
+        for i, text in zip(il, fresh):
+            rows[i] = text
+        lines.append(f"{snap.step}," + f"\n{snap.step},".join(rows))
+        prev = (bits, rows)
     return lines
 
 

@@ -16,12 +16,6 @@ FORMAT_NAME = "vorsim-events"
 FORMAT_VERSION = 1
 
 
-def _fmt_point(p, dim):
-    if dim == 1:
-        return f"{float(p)!r}"
-    return f"{float(p[0])!r} {float(p[1])!r}"
-
-
 def _selection_line(sel):
     if sel.kind == "volume_power":
         return f"volume_power alpha={float(sel.alpha)!r}"
@@ -51,8 +45,11 @@ def events_lines(trajectory):
     ]
     if trajectory.stopped_at is not None:
         lines.append(f"# stopped_at: {trajectory.stopped_at}")
-    for p in trajectory.snapshots[0].points:
-        lines.append(f"# init: {_fmt_point(p, dim)}")
+    init = np.asarray(trajectory.snapshots[0].points, dtype=float)
+    if dim == 1:
+        lines += [f"# init: {x!r}" for x in init.tolist()]
+    else:
+        lines += [f"# init: {x!r} {y!r}" for x, y in zip(*init.T.tolist())]
     if dim == 1:
         cols = "step,chosen,removed" + ("" if thinning else ",inserted")
     else:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DuplicatePoints, SelectionOutOfDomain
+from .space import Space, _canonical_array
 from .tessellation import Tessellation
 
 _VOLUME_FLOOR = 1e-300   # guards pow underflow for extreme alpha
@@ -372,6 +373,19 @@ def initial_configuration(space, N, init, rng):
         return True
 
     if init.kind == "iid_mu":
+        if space.mu_density is None and \
+                type(space).sample_mu is Space.sample_mu:
+            # a numpy Generator's random(n) yields the doubles of n
+            # random() calls, so one batch holds sample_mu's first N draws;
+            # a batch with a duplicate goes through push, which keeps first
+            # occurrences as the loop below would, and the loop draws on
+            shape = N if space.dim == 1 else (N, 2)
+            xy = _canonical_array(space, rng.random(shape) * L)
+            if len(np.unique(xy, axis=0)) == N:
+                return xy.tolist() if space.dim == 1 \
+                    else list(zip(*xy.T.tolist()))
+            for p in xy.tolist():
+                push(p)
         while len(pts) < N:
             push(space.sample_mu(rng))
         return pts
@@ -459,8 +473,11 @@ def run(params, observers=(), stop_when=None):
     snapshots = []
 
     def snap(t):
+        # degrees first: a neighbour read stores each stale cell's volume
+        # too, so no 2D cell is scanned twice
+        degs = tess.degrees()
         snapshots.append(Snapshot(t, np.asarray(tess.points, dtype=float),
-                                  tess.cell_volumes(), tess.degrees()))
+                                  tess.cell_volumes(), degs))
 
     snap(0)
     stopped_at = None

@@ -22,6 +22,27 @@ KINDS_2D = ("square", "torus")
 ALL_KINDS = KINDS_1D + KINDS_2D
 
 
+def _canonical_array(space, xy):
+    """``space.canonicalize`` of every point in one numpy pass.
+
+    ``xy`` is a float array of shape (n,) in one dimension or (n, 2) in
+    two, and the result has the same shape and the bits that
+    ``canonicalize`` gives each point (numpy's float ``mod`` rounds as
+    Python's ``%`` does).  An invalid point raises the error that
+    ``canonicalize`` raises for the first one.
+    """
+    L = space.size
+    ok = np.isfinite(xy) if space.periodic else (0.0 <= xy) & (xy <= L)
+    if xy.ndim == 2:
+        ok = ok.all(axis=1)
+    if not ok.all():
+        space.canonicalize(xy[int(np.argmin(ok))])
+    if space.periodic:
+        xy = np.mod(xy, L)
+        xy[xy == L] = 0.0
+    return xy
+
+
 class Space:
     """A compact state space with metric, measures and a sampler.
 

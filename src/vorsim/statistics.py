@@ -165,6 +165,42 @@ def _boundary_distance(pts, L):
     return d.min(axis=1)
 
 
+def _axis_distance(u, v, L, periodic):
+    """|u - v| along one axis, with cKDTree's arithmetic: the difference,
+    wrapped by L when it exceeds L/2 on a periodic axis, then sqrt(d*d).
+    Distances thus have the bits cKDTree's ``query`` reports."""
+    d = u - v
+    if periodic:
+        half = 0.5 * L
+        d = np.where(d < -half, d + L, np.where(d > half, d - L, d))
+    return np.sqrt(d * d)
+
+
+def _nearest_distances_1d(xs, grid, L, periodic):
+    """Nearest-neighbour distances in one dimension from sorted order.
+
+    ``xs`` holds the sorted generators and ``grid`` the sorted test
+    points.  A generator's nearest other generator is one of its two
+    neighbours in sorted order (wrapping around on the circle), and a
+    test point's nearest generator is one of the two that enclose it.
+    Returns (generator distances in the order of ``xs``, test point
+    distances).
+    """
+    n = xs.size
+    gap = _axis_distance(np.roll(xs, -1), xs, L, periodic)
+    if not periodic:
+        gap[-1] = np.inf  # the last point has no right neighbour
+    d_g = np.minimum(gap, np.roll(gap, 1))
+    idx = np.searchsorted(xs, grid)
+    if periodic:
+        lo, hi = xs[idx - 1], xs[idx % n]
+    else:
+        lo, hi = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx, n - 1)]
+    d_f = np.minimum(_axis_distance(grid, lo, L, periodic),
+                     _axis_distance(grid, hi, L, periodic))
+    return d_g, d_f
+
+
 def j_function(config, space, r_grid=None, f_resolution=100_000):
     """Empirical J-function (1 - G) / (1 - F) of a configuration.
 
@@ -176,6 +212,12 @@ def j_function(config, space, r_grid=None, f_resolution=100_000):
     Radii where the estimate is undefined (no interior sample left, or
     F = 1) are omitted.
 
+    In two dimensions the nearest-neighbour distances come from a
+    ``cKDTree``.  In one they come from sorted order: each generator's
+    two neighbours and, found by ``searchsorted``, the two generators
+    around each test point, with the tree's distance arithmetic, so the
+    rows have the bits the tree would give.
+
     Returns
     -------
     ndarray, shape (m, 2)
@@ -185,20 +227,26 @@ def j_function(config, space, r_grid=None, f_resolution=100_000):
     if n < 2:
         raise ConfigError("the J-function needs at least two points")
     L = space.size
-    pts = _points_matrix(config, space.dim)
     periodic = space.periodic
-    tree = cKDTree(pts, boxsize=L if periodic else None)
-    # nearest neighbour of each generator (k=1 is the point itself)
-    d_g = tree.query(pts, k=2)[0][:, 1]
     if space.dim == 1:
+        # G and F are fractions of distances, so the generators may be
+        # taken in sorted order
+        xs = np.sort(np.asarray(config, dtype=float).reshape(-1))
         R = max(int(f_resolution), 2)
-        grid = ((np.arange(R) + 0.5) * (L / R)).reshape(-1, 1)
+        grid = (np.arange(R) + 0.5) * (L / R)
+        d_g, d_f = _nearest_distances_1d(xs, grid, L, periodic)
+        pts = xs.reshape(-1, 1)
+        grid = grid.reshape(-1, 1)
     else:
+        pts = _points_matrix(config, space.dim)
+        tree = cKDTree(pts, boxsize=L if periodic else None)
+        # nearest neighbour of each generator (k=1 is the point itself)
+        d_g = tree.query(pts, k=2)[0][:, 1]
         G = max(int(round(math.sqrt(f_resolution))), 2)
         xs = (np.arange(G) + 0.5) * (L / G)
         XX, YY = np.meshgrid(xs, xs)
         grid = np.column_stack([XX.ravel(), YY.ravel()])
-    d_f = tree.query(grid)[0]
+        d_f = tree.query(grid)[0]
     if r_grid is None:
         hi = float(np.percentile(d_g, 90.0))
         r_grid = np.linspace(0.0, hi, 21)[1:]

@@ -46,6 +46,7 @@ from .engine2d import Abort2D, build_engine
 from .errors import ConfigError, DuplicatePoints
 from .geom2d import (BOUNDARY, clip_polygon_halfplane, halfplane_area,
                      polygon_area, polygon_grid_measure)
+from .space import _canonical_array
 
 # Dual edges shorter than this fraction of the space size are treated as
 # degenerate contact (four cells meeting in a point) rather than adjacency.
@@ -63,11 +64,12 @@ def _canonical_points(points, space):
     Returns the points and, in one dimension, the stable argsort of their
     coordinates, which the sorted1d backend is built from (None in 2D).
     """
-    pts = [space.canonicalize(p) for p in points]
-    if not pts:
-        raise ConfigError("a configuration needs at least one point")
     if space.dim == 1:
-        xs = np.array(pts)
+        xs = np.asarray(points, dtype=float).reshape(len(points))
+        xs = _canonical_array(space, xs)
+        if not xs.size:
+            raise ConfigError("a configuration needs at least one point")
+        pts = xs.tolist()
         order = np.argsort(xs, kind="stable")
         xs = xs[order]
         same = np.flatnonzero(xs[1:] == xs[:-1])
@@ -76,6 +78,9 @@ def _canonical_points(points, space):
             raise DuplicatePoints(f"points {int(order[k])} and "
                                   f"{int(order[k + 1])} coincide")
         return pts, order
+    pts = [space.canonicalize(p) for p in points]
+    if not pts:
+        raise ConfigError("a configuration needs at least one point")
     order = sorted(range(len(pts)), key=lambda i: pts[i])
     for a, b in zip(order, order[1:]):
         if pts[a] == pts[b]:

@@ -31,3 +31,78 @@ def neighbor_pairs(tess):
         for j in nbrs:
             out.add((i, j) if i < j else (j, i))
     return out
+
+
+def serial_iid_mu(space, N, rng):
+    """``iid_mu`` initial draws one ``sample_mu`` call at a time: the
+    reference the vectorised draw must equal bit for bit."""
+    pts = []
+    seen = set()
+    while len(pts) < N:
+        p = space.canonicalize(space.sample_mu(rng))
+        if p not in seen:
+            seen.add(p)
+            pts.append(p)
+    return pts
+
+
+def snapshot_rows_reference(trajectory, dim):
+    """The snapshots table formatted one row and one value at a time."""
+    head = "step,index,x,y,cell_volume,degree" if dim == 2 \
+        else "step,index,x,cell_volume,degree"
+    lines = [head]
+    for snap in trajectory.snapshots:
+        vols = np.asarray(snap.volumes, dtype=float)
+        degs = np.asarray(snap.degrees)
+        for i, p in enumerate(snap.points):
+            if dim == 2:
+                lines.append(f"{snap.step},{i},{float(p[0])!r},"
+                             f"{float(p[1])!r},{float(vols[i])!r},"
+                             f"{int(degs[i])}")
+            else:
+                lines.append(f"{snap.step},{i},{float(p)!r},"
+                             f"{float(vols[i])!r},{int(degs[i])}")
+    return lines
+
+
+def ckdtree_nearest_distances(config, space, f_resolution):
+    """Nearest-neighbour distances of the generators and of the F-grid
+    test points of a 1D configuration, from a ``cKDTree``: the reference
+    for the J-function's sorted-order distances."""
+    from scipy.spatial import cKDTree
+
+    L = space.size
+    pts = np.asarray(config, dtype=float).reshape(-1, space.dim)
+    tree = cKDTree(pts, boxsize=L if space.periodic else None)
+    d_g = tree.query(pts, k=2)[0][:, 1]
+    R = max(int(f_resolution), 2)
+    grid = ((np.arange(R) + 0.5) * (L / R)).reshape(-1, 1)
+    return d_g, tree.query(grid)[0]
+
+
+def j_function_reference(config, space, r_grid, f_resolution):
+    """The rows of ``j_function`` on a 1D configuration, computed from
+    ``cKDTree`` distances."""
+    d_g, d_f = ckdtree_nearest_distances(config, space, f_resolution)
+    L = space.size
+    pts = np.asarray(config, dtype=float).reshape(-1)
+    R = max(int(f_resolution), 2)
+    grid = (np.arange(R) + 0.5) * (L / R)
+    if r_grid is None:
+        r_grid = np.linspace(0.0, float(np.percentile(d_g, 90.0)), 21)[1:]
+    rows = []
+    for r in np.asarray(r_grid, dtype=float):
+        if space.periodic:
+            g = float((d_g <= r).mean())
+            f = float((d_f <= r).mean())
+        else:
+            use_g = np.minimum(pts, L - pts) >= r
+            use_f = np.minimum(grid, L - grid) >= r
+            if not use_g.any() or not use_f.any():
+                continue
+            g = float((d_g[use_g] <= r).mean())
+            f = float((d_f[use_f] <= r).mean())
+        if f >= 1.0:
+            continue
+        rows.append((float(r), (1.0 - g) / (1.0 - f)))
+    return np.array(rows, dtype=float).reshape(-1, 2)

@@ -1,11 +1,16 @@
 """Command-line interface end to end."""
 
+import dataclasses
 import os
 
+import numpy as np
 import pytest
 import yaml
 
-from vorsim.cli import main
+from helpers import snapshot_rows_reference
+from vorsim.cli import _snapshot_csv_lines, main
+from vorsim.process import ProcessParams, SelectionSpec, Snapshot, run
+from vorsim.space import Space
 
 CONFIG_1D = {
     "schema_version": 1,
@@ -107,6 +112,46 @@ def test_simulate_skips_a_drift_fit_with_only_the_empty_region_bin(
     assert "drift skipped (no N_A > 0 bin reaches 50 events)" in msg
     assert "fitted_K" not in msg
     assert not os.path.exists(os.path.join(out, "drift.csv"))
+
+
+@pytest.mark.parametrize("kind, mode", [
+    ("circle", "replacement"), ("interval", "replacement"),
+    ("square", "replacement"), ("torus", "replacement"),
+    ("interval", "thinning"), ("square", "thinning")])
+def test_snapshot_table_equals_the_row_by_row_reference(kind, mode):
+    params = ProcessParams(N=60, T=80, mode=mode,
+                           selection=SelectionSpec("volume_power", alpha=0.5),
+                           space=Space(kind, 1.0), seed=6, snapshot_every=10)
+    tr = run(params)
+    assert len(tr.snapshots) >= 6
+    dim = params.space.dim
+    assert "\n".join(_snapshot_csv_lines(tr, dim)) == \
+        "\n".join(snapshot_rows_reference(tr, dim))
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus"])
+def test_snapshot_table_reformats_rows_that_change_in_any_column(kind):
+    params = ProcessParams(N=30, T=5, mode="replacement",
+                           selection=SelectionSpec("volume_power", alpha=1.0),
+                           space=Space(kind, 1.0), seed=7, snapshot_every=5)
+    tr = run(params)
+    s0 = tr.snapshots[0]
+    pts, vols, degs = s0.points.copy(), s0.volumes.copy(), s0.degrees.copy()
+    pts.flat[-1] = np.nextafter(pts.flat[-1], 2.0)
+    vols[3] = np.nextafter(vols[3], 0.0)
+    degs[5] += 1
+    snaps = [s0, Snapshot(1, s0.points, s0.volumes, s0.degrees),
+             Snapshot(2, s0.points, s0.volumes, s0.degrees),
+             Snapshot(3, pts, s0.volumes, s0.degrees),
+             Snapshot(4, pts, vols, s0.degrees),
+             Snapshot(5, pts, vols, degs),
+             Snapshot(6, s0.points[:-1], s0.volumes[:-1], s0.degrees[:-1])]
+    tr = dataclasses.replace(tr, snapshots=snaps)
+    dim = params.space.dim
+    # each changed value is one ulp or one count away from the row reused
+    # before it, so a missed change leaves the earlier text in the table
+    assert "\n".join(_snapshot_csv_lines(tr, dim)) == \
+        "\n".join(snapshot_rows_reference(tr, dim))
 
 
 def test_seed_flag_overrides_and_is_reported(tmp_path, capsys):

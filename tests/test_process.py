@@ -1,10 +1,14 @@
 """Selection distributions and the thinning/replacement chain driver."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from helpers import all_spaces, random_points
+from helpers import all_spaces, random_points, serial_iid_mu
+from vorsim import process
+from vorsim.engine2d import Engine2D
 from vorsim.errors import ConfigError, SelectionOutOfDomain
 from vorsim.process import (InitSpec, ProcessParams, SelectionSpec,
                             _RowSumSampler, initial_configuration,
@@ -198,6 +202,97 @@ def test_initial_configuration_kinds(circle, square):
         initial_configuration(circle, 3, [0.0, 0.1, 0.5], rng)
     with pytest.raises(ConfigError):
         initial_configuration(circle, 3, "ring", rng)
+
+
+class _ReplayRng:
+    """Hands out a fixed sequence of doubles in order, one per
+    ``random()`` call and n per ``random(n)`` call, as a numpy Generator
+    does; a sequence with repeats makes coinciding initial draws."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.k = 0
+
+    def random(self, size=None):
+        m = 1 if size is None else int(np.prod(size))
+        out = self.values[self.k:self.k + m]
+        self.k += m
+        return float(out[0]) if size is None else out.reshape(size)
+
+
+def _same_draws(a, b):
+    assert len(a) == len(b)
+    assert [type(p) for p in a] == [type(p) for p in b]
+    assert np.asarray(a, dtype=float).tobytes() == \
+        np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 1000])
+def test_iid_mu_draws_equal_the_serial_loop(N):
+    for space in all_spaces():
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            got = initial_configuration(space, N, "iid_mu", rng)
+            _same_draws(got, serial_iid_mu(space, N, ref_rng))
+            # the stream was consumed as the serial loop consumed it
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_iid_mu_draws_redraw_coinciding_points_as_the_serial_loop():
+    fresh = np.random.default_rng(5).random(200)
+    for space in all_spaces():
+        # ten equal doubles: five equal 2D points, ten equal 1D points
+        values = np.concatenate([np.full(10, 0.25), fresh])
+        for N in (6, 12):
+            rng, ref_rng = _ReplayRng(values), _ReplayRng(values)
+            got = initial_configuration(space, N, "iid_mu", rng)
+            _same_draws(got, serial_iid_mu(space, N, ref_rng))
+            assert rng.k == ref_rng.k
+            assert len(set(got)) == N
+
+
+def test_iid_mu_draws_with_a_mu_grid_or_own_sampler_use_sample_mu():
+    class Coarse(Space):
+        def sample_mu(self, rng):
+            return float(np.floor(super().sample_mu(rng) * 64.0)) / 64.0
+
+    spaces = [Space("circle", 1.0, mu_density=[0.0, 1.0, 3.0]),
+              Space("square", 1.0, density=[[1.0, 2.0], [0.5, 1.0]]),
+              Coarse("circle", 1.0)]
+    for space in spaces:
+        calls = []
+        own = space.sample_mu
+        space.sample_mu = lambda rng: calls.append(1) or own(rng)
+        got = initial_configuration(space, 40, "iid_mu",
+                                    np.random.default_rng(3))
+        del space.sample_mu
+        assert len(calls) >= 40
+        _same_draws(got, serial_iid_mu(space, 40, np.random.default_rng(3)))
+
+
+@pytest.mark.parametrize("kind", ["square", "torus"])
+def test_first_snapshot_scans_each_2d_cell_once(kind, monkeypatch):
+    scans = Counter()
+    at_snapshot = []
+    scan = Engine2D.cell_scan
+
+    def counting_scan(self, v, *args):
+        scans[v] += 1
+        return scan(self, v, *args)
+
+    def snapshot(*args):
+        at_snapshot.append(Counter(scans))
+        return Snapshot(*args)
+
+    Snapshot = process.Snapshot
+    monkeypatch.setattr(Engine2D, "cell_scan", counting_scan)
+    monkeypatch.setattr(process, "Snapshot", snapshot)
+    params = ProcessParams(N=300, T=3, mode="replacement",
+                           selection=SelectionSpec("volume_power", alpha=1.0),
+                           space=Space(kind, 1.0), seed=4)
+    run(params)
+    assert at_snapshot[0] == Counter(range(300))
 
 
 def test_initial_configuration_respects_mu_zeros():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import random_points
+from helpers import (ckdtree_nearest_distances, j_function_reference,
+                     random_points)
 from vorsim.errors import ConfigError, InsufficientData
 from vorsim.process import ProcessParams, SelectionSpec, run
 from vorsim.space import Space
@@ -12,6 +13,7 @@ from vorsim.statistics import (TestRegion, clustering_index,
                                estimate_drift, j_function, pattern_summary,
                                quadrat_variance, selection_mass,
                                thiel_of_volumes, thiel_redundancy)
+from vorsim.statistics import _nearest_distances_1d
 from vorsim.tessellation import build
 
 
@@ -143,6 +145,48 @@ def test_j_function_translation_invariant_on_torus(torus):
     # G is exactly translation invariant; F is estimated on a fixed
     # stratified grid, so J moves by at most the grid discretization
     assert a[:, 1] == pytest.approx(b[:, 1], rel=1e-2)
+
+
+def _configs_1d(L, R):
+    """1D configurations that stress sorted-order nearest neighbours:
+    two points, a point at 0, points on F-grid positions, clusters (one
+    across the wrap point) and a uniform sample."""
+    rng = np.random.default_rng(47)
+    on_grid = (np.array([3, 4, 10, R // 2, R - 1]) + 0.5) * (L / R)
+    cluster = 0.3 * L + 0.01 * L * rng.random(60)
+    wrap = np.concatenate([0.004 * L * rng.random(20),
+                           L - 0.004 * L * rng.random(20)])
+    return {
+        "two": rng.random(2) * L,
+        "zero": np.concatenate([[0.0], rng.random(9) * L]),
+        "on_grid": on_grid,
+        "on_grid_and_zero": np.concatenate([[0.0], on_grid]),
+        "cluster": np.concatenate([cluster, [0.9 * L]]),
+        "wrap": wrap,
+        "uniform": rng.random(500) * L,
+    }
+
+
+@pytest.mark.parametrize("kind", ["circle", "interval"])
+@pytest.mark.parametrize("L", [1.0, 2.5])
+def test_1d_j_function_equals_the_kd_tree_bit_for_bit(kind, L):
+    space = Space(kind, L)
+    R = 1000
+    grid = (np.arange(R) + 0.5) * (L / R)
+    for name, xs in _configs_1d(L, R).items():
+        xs = np.sort(xs)
+        ref_g, ref_f = ckdtree_nearest_distances(xs, space, R)
+        d_g, d_f = _nearest_distances_1d(xs, grid, L, space.periodic)
+        assert d_g.tobytes() == ref_g.tobytes(), name
+        assert d_f.tobytes() == ref_f.tobytes(), name
+        # radii at the distances themselves put every tie on the grid
+        ties = np.unique(np.concatenate([ref_g, ref_f[::7]]))
+        for r_grid in (None, ties):
+            config = list(np.random.default_rng(1).permutation(xs))
+            got = j_function(config, space, r_grid, R)
+            want = j_function_reference(config, space, r_grid, R)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_quadrat_variance_frozen_extreme(square):

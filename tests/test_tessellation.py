@@ -137,6 +137,34 @@ def test_volumes_then_degrees_refresh_each_changed_cell_once(circle,
     assert calls == []
 
 
+def test_1d_build_rejects_invalid_points_by_name(circle, interval):
+    cases = [
+        (circle, [0.2, float("nan"), float("inf")], "point nan is not finite"),
+        (circle, [0.2, -float("inf")], "point -inf is not finite"),
+        (interval, [0.2, 1.5, -3.0], "point 1.5 outside interval [0, 1.0]"),
+        (interval, [-0.1], "point -0.1 outside interval [0, 1.0]"),
+        (interval, [0.5, float("nan")],
+         "point nan outside interval [0, 1.0]"),
+    ]
+    for space, pts, message in cases:
+        for points in (pts, np.array(pts)):
+            with pytest.raises(ConfigError) as err:
+                build(points, space)
+            assert str(err.value) == message
+
+
+def test_1d_build_shares_point_and_id_objects(circle):
+    t = build(random_points(np.random.default_rng(42), circle, 600), circle)
+    # the engine's keys and the neighbour tuples hold the float objects
+    # of ``points`` and the int objects of ``_eid``, not copies
+    eng = t._eng
+    for x, e in eng.keys:
+        assert x is t.points[e] and e is t._eid[e]
+        assert eng.pos[e] is x
+    for e, nbrs in t._nbr.items():
+        assert all(u is t._eid[u] for u in nbrs)
+
+
 def test_empty_configuration_rejected(circle):
     with pytest.raises(ConfigError):
         build([], circle)
