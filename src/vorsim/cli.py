@@ -30,9 +30,11 @@ from .statistics import TestRegion, estimate_drift, pattern_summary
 
 
 def _write_text(path, lines):
+    """Write each line and a newline; no joined copy of the file is made."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def _seed_source(args):

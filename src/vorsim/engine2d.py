@@ -33,6 +33,13 @@ insert removed: the insert keeps what it overwrote, and a ``delete`` of the
 same vertex restores it.  ``insert`` and ``delete`` clear that record when
 they start, so it never outlives the next mutation.
 
+Corner coordinates are rounded floats, and the rounding of ``x + a*L``
+changes with the lift, so one configuration seen in two frames is two
+slightly different point sets.  Every in-circle test therefore passes the
+engine's ``Lifts``, which make it exact for the true images: ties between
+periods (seeds a third of a period apart, points sharing a coordinate)
+resolve the same way in every frame, as the refill needs.
+
 Any situation neither path can represent (an oversized cavity, an
 inconsistent ring, a refill of the wrong size) raises ``Abort2D`` before
 any mutation, and the caller rebuilds from scratch.
@@ -40,8 +47,8 @@ any mutation, and the caller rebuilds from scratch.
 Static builds insert the points, in a biased randomized insertion order,
 into an exactly resolved seed complex: the ghost frame (square) or a 3x3
 lattice whose seeds are deleted afterwards (torus); there is no library
-triangulation.  A build that aborts returns None, and the facade module
-falls back to triangulation-free direct cell clipping.
+triangulation.  The torus builds this way down to a single point.  A
+build that aborts raises ``Abort2D``.
 """
 
 import math
@@ -49,8 +56,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import Abort2D
 from .geom2d import circumcenter
-from .predicates import incircle, orient2d
+from .predicates import Lifts, incircle, orient2d
 
 _LIFT_MAX = 2  # max normalized lift: edges never exceed sqrt(2)*L
 _APEX_REACH = 0.75  # bounds a Delaunay disk's radius L/sqrt(2), with slack
@@ -62,10 +70,6 @@ _NX2 = (2, 0, 1)
 _EMPTY = frozenset()
 
 
-class Abort2D(Exception):
-    """A local structural update cannot be performed; rebuild instead."""
-
-
 class Engine2D:
     """Triangulation of the current generators of a 2D space."""
 
@@ -75,6 +79,7 @@ class Engine2D:
         self.X = X
         self.Y = Y
         self.ghosts = frozenset(ghosts)
+        self.lifts = Lifts(X, Y, L) if periodic else None
         self.TRI = []   # (i0, i1, i2, a0, b0, a1, b1, a2, b2) or None
         self.NBR = []   # per slot e: (t2, e2, dx, dy) or None; slot e is the
                         # edge opposite corner e, i.e. corners e+1, e+2
@@ -237,7 +242,7 @@ class Engine2D:
         X, Y = self.X, self.Y
         TRI, NBR = self.TRI, self.NBR
         cap = self._local_cap()
-        NXT, NX2, ic = _NXT, _NX2, incircle
+        NXT, NX2, ic, lifts = _NXT, _NX2, incircle, self.lifts
 
         # conflict search over (triangle, lift) nodes
         seen = {}
@@ -254,7 +259,7 @@ class Engine2D:
             c = ic(X[i0] + (tri[3] + sx) * L, Y[i0] + (tri[4] + sy) * L,
                    X[i1] + (tri[5] + sx) * L, Y[i1] + (tri[6] + sy) * L,
                    X[i2] + (tri[7] + sx) * L, Y[i2] + (tri[8] + sy) * L,
-                   x, y, i0, i1, i2, v) > 0
+                   x, y, i0, i1, i2, v, lifts) > 0
             seen[node] = c
             if not c:
                 continue
@@ -471,7 +476,8 @@ class Engine2D:
                     pu = coords[u]
                     if incircle(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1],
                                 pu[0], pu[1],
-                                ids[a], ids[b], ids[c], ids[u]) > 0:
+                                ids[a], ids[b], ids[c], ids[u],
+                                self.lifts) > 0:
                         good = False
                         break
                     u = nxt[u]
@@ -770,7 +776,7 @@ class Engine2D:
         keeps the one whose circle through a and b holds no other: those
         circles nest on the left of the edge.
         """
-        X, Y, L = self.X, self.Y, self.L
+        X, Y, L, lifts = self.X, self.Y, self.L, self.lifts
         ax = X[a[0]] + a[1] * L
         ay = Y[a[0]] + a[2] * L
         bx = X[b[0]] + b[1] * L
@@ -800,7 +806,7 @@ class Engine2D:
                         continue
                     if best is None or incircle(ax, ay, bx, by, qx, qy,
                                                 px, py, a[0], b[0], best[0],
-                                                u) > 0:
+                                                u, lifts) > 0:
                         best = (u, lx, ly)
                         qx, qy = px, py
         return best
@@ -808,7 +814,7 @@ class Engine2D:
     def _nearest_pair(self, ids):
         """A lifted edge from the first of ``ids`` to its exactly nearest
         other lift: its diametral disk is empty, so it is Delaunay."""
-        X, Y, L = self.X, self.Y, self.L
+        X, Y, L = self.X, self.Y, Fraction(self.L)
         a = ids[0]
         ax, ay = Fraction(X[a]), Fraction(Y[a])
         best = None
@@ -817,8 +823,8 @@ class Engine2D:
                 for ly in (-1, 0, 1):
                     if u == a and lx == 0 and ly == 0:
                         continue
-                    d2 = ((Fraction(X[u] + lx * L) - ax) ** 2
-                          + (Fraction(Y[u] + ly * L) - ay) ** 2)
+                    d2 = ((Fraction(X[u]) + lx * L - ax) ** 2
+                          + (Fraction(Y[u]) + ly * L - ay) ** 2)
                     if best is None or d2 < best[0]:
                         best = (d2, (u, lx, ly))
         return (a, 0, 0), best[1]
@@ -968,7 +974,8 @@ class Engine2D:
                 oy = self.Y[tri2[k]] + (tri2[4 + 2 * k] + dy) * L
                 if incircle(pts[0][0], pts[0][1], pts[1][0], pts[1][1],
                             pts[2][0], pts[2][1], ox, oy,
-                            tri[0], tri[1], tri[2], tri2[k]) > 0:
+                            tri[0], tri[1], tri[2], tri2[k],
+                            self.lifts) > 0:
                     return f"edge {t}/{t2} is not locally Delaunay"
         for v, (t, c) in self.incident.items():
             tri = TRI[t]
@@ -982,12 +989,11 @@ class Engine2D:
 
 
 def build_engine(points, L, periodic):
-    """Build an engine for the given canonical points, or None if the
-    seeded builder aborts, which no known start makes it do.
+    """Build an engine for the given canonical points.
 
     The square inserts the points into an exactly resolved ghost frame,
     the torus into an exactly resolved seed lattice whose seeds it then
-    deletes.
+    deletes.  Raises ``Abort2D`` when the build cannot complete.
     """
     if periodic:
         return _seeded_torus_engine(points, L)
@@ -1062,17 +1068,16 @@ def _stitch(eng):
 _GHOST_CORNERS = ((-8.0, -8.0), (9.0, -8.0), (9.0, 9.0), (-8.0, 9.0))
 
 
-def _quad_records(ids, lifts, coords):
-    """Split a counterclockwise cocircular-or-convex quad into the two
-    triangles of its exactly resolved Delaunay diagonal.
+def _quad_records(eng, ids, lifts):
+    """Split a counterclockwise cocircular-or-convex quad of seeds into the
+    two triangles of its exactly resolved Delaunay diagonal.
 
-    ``ids``, ``lifts`` and ``coords`` list the four corners in CCW order;
-    coords are lifted float positions.
+    ``ids`` and ``lifts`` list the four corners in CCW order.
     """
-    (i0, i1, i2, i3) = ids
-    c = incircle(coords[0][0], coords[0][1], coords[1][0], coords[1][1],
-                 coords[2][0], coords[2][1], coords[3][0], coords[3][1],
-                 i0, i1, i2, i3)
+    X, Y, L = eng.X, eng.Y, eng.L
+    coords = [(X[i] + lx * L, Y[i] + ly * L) for i, (lx, ly) in zip(ids, lifts)]
+    c = incircle(*coords[0], *coords[1], *coords[2], *coords[3], *ids,
+                 eng.lifts)
     if c < 0:
         corner_sets = ((0, 1, 2), (0, 2, 3))
     else:
@@ -1100,30 +1105,23 @@ def _seeded_torus_engine(points, L):
     period, which ``delete`` refills in the universal cover.
     """
     n = len(points)
-    if n < 1:
-        return None
     h = L / 3.0
     taken = set(points)
-    seeds = None
     for k in range(16):
         dx = ((k * 0.3819660112501051 + 0.06180339887) % 1.0) * h
         dy = ((k * 0.6180339887498949 + 0.23606797749) % 1.0) * h
-        cand = [(dx + a * h, dy + b * h) for b in range(3) for a in range(3)]
-        if not any(s in taken for s in cand):
-            seeds = cand
+        seeds = [(dx + a * h, dy + b * h) for b in range(3) for a in range(3)]
+        if not any(s in taken for s in seeds):
             break
-    if seeds is None:
-        return None
-    recs = set()
+    else:
+        raise Abort2D("every candidate seed lattice meets a point")
+    quads = []
     for a in range(3):
         for b in range(3):
             quad = ((a, b), (a + 1, b), (a + 1, b + 1), (a, b + 1))
-            ks = [3 * (qb % 3) + qa % 3 for qa, qb in quad]
-            lifts = [(qa // 3, qb // 3) for qa, qb in quad]
-            coords = [(seeds[k][0] + lx * L, seeds[k][1] + ly * L)
-                      for k, (lx, ly) in zip(ks, lifts)]
-            recs.update(_quad_records([n + k for k in ks], lifts, coords))
-    return _insert_into_seeds(points, L, True, seeds, recs)
+            quads.append(([n + 3 * (qb % 3) + qa % 3 for qa, qb in quad],
+                          [(qa // 3, qb // 3) for qa, qb in quad]))
+    return _insert_into_seeds(points, L, True, seeds, quads)
 
 
 def _seeded_square_engine(points, L):
@@ -1131,13 +1129,13 @@ def _seeded_square_engine(points, L):
     resolved; the ghosts stay."""
     n = len(points)
     ghosts = [(gx * L, gy * L) for gx, gy in _GHOST_CORNERS]
-    recs = _quad_records(range(n, n + 4), [(0, 0)] * 4, ghosts)
-    return _insert_into_seeds(points, L, False, ghosts, recs)
+    quads = [(range(n, n + 4), [(0, 0)] * 4)]
+    return _insert_into_seeds(points, L, False, ghosts, quads)
 
 
-def _insert_into_seeds(points, L, periodic, seeds, recs):
-    """Insert the points into the triangles ``recs`` on the seed generators
-    (ids n, n+1, ...) and return the engine, or None when it aborts.
+def _insert_into_seeds(points, L, periodic, seeds, quads):
+    """Insert the points into the Delaunay triangles of the seed quads
+    (corner ids n, n+1, ... with their lifts) and return the engine.
 
     The points go in a biased randomized insertion order, each walk
     starting at the point inserted before.  The torus's seeds are deleted
@@ -1148,7 +1146,8 @@ def _insert_into_seeds(points, L, periodic, seeds, recs):
     X = [p[0] for p in points] + [s[0] for s in seeds]
     Y = [p[1] for p in points] + [s[1] for s in seeds]
     eng = Engine2D(L, periodic, X, Y, ghosts=() if periodic else sid)
-    eng.TRI = sorted(recs)
+    eng.TRI = sorted({rec for ids, lifts in quads
+                      for rec in _quad_records(eng, list(ids), lifts)})
     eng.NBR = [[None, None, None] for _ in eng.TRI]
     eng.CC = [circumcenter(*[z for p in eng.triangle_frame_coords(t)
                              for z in p]) for t in range(len(eng.TRI))]
@@ -1159,15 +1158,12 @@ def _insert_into_seeds(points, L, periodic, seeds, recs):
             eng.incident[tri[c]] = (t, c)
     eng.rebucket(n, ())
     start = n
-    try:
-        for v in _brio_order(points, L):
-            eng.insert(v, start)
-            start = v
-        if periodic:
-            for s in sid:
-                eng.delete(s)
-    except Abort2D:
-        return None
+    for v in _brio_order(points, L):
+        eng.insert(v, start)
+        start = v
+    if periodic:
+        for s in sid:
+            eng.delete(s)
     return eng
 
 

@@ -19,3 +19,11 @@ class SelectionOutOfDomain(VorsimError):
 
 class InsufficientData(VorsimError):
     """Raised when an estimator has too few samples to report anything."""
+
+
+class Abort2D(VorsimError):
+    """The 2D engine cannot perform a structural update or a build.
+
+    A chain update that raises it rebuilds the engine from scratch; a build
+    that raises it fails the run.
+    """

@@ -12,6 +12,14 @@ two generators (a rectangle of images) can stay tied; a second, smaller
 perturbation that decreases with the point's position in lexicographic
 order breaks those ties.  A lattice translation keeps that order, so every
 period of a tie breaks the same way.
+
+A torus engine passes periodic images as rounded floats ``X[i] + k*L``.
+Rounding differs from one period to the next, so two tests of one
+configuration in different frames could see different points and
+disagree where the configuration is nearly degenerate.  ``incircle``
+therefore takes the engine's ``Lifts``: its error bound covers the input
+rounding, and its exact fallback evaluates the images exactly, so every
+period of a test gets the same answer.
 """
 
 from fractions import Fraction
@@ -31,6 +39,35 @@ class PerturbationFailure(VorsimError):
     Only reachable when all four points are collinear, which no caller
     passes: ``incircle`` needs a counterclockwise triangle (a, b, c).
     """
+
+
+class Lifts:
+    """Exact positions of the images ``X[i] + k*L`` of a periodic point set.
+
+    ``X`` and ``Y`` are the engine's coordinate lists (mutated in place by
+    the caller).  The bounds assume what the torus engine guarantees: the
+    four points of a test lie within ``8*L`` of each other, and no lifted
+    coordinate exceeds ``32*L`` in magnitude, so each rounded input is off
+    by at most ``eta = 2**-46 * L``.  Moving the differences by up to
+    ``3*eta`` moves the in-circle determinant by less than
+    ``slack * R**2 + slack0``, with ``R`` the largest distance to d.
+    """
+
+    def __init__(self, X, Y, L):
+        self.X = X
+        self.Y = Y
+        self.L = L
+        eps = 3.0 * 2.0 ** -46 * L
+        self.slack = 40.0 * (8.0 * L + 2.0 * eps) * eps
+        self.slack0 = 150.0 * (8.0 * L + 2.0 * eps) * eps ** 3
+
+    def exact(self, x, y, i):
+        """The image of generator i that the float point (x, y) rounds,
+        as exact rationals."""
+        L = self.L
+        X, Y = self.X[i], self.Y[i]
+        return (Fraction(X) + round((x - X) / L) * Fraction(L),
+                Fraction(Y) + round((y - Y) / L) * Fraction(L))
 
 
 def orient2d(ax, ay, bx, by, cx, cy):
@@ -70,13 +107,15 @@ def orient2d_exact(ax, ay, bx, by, cx, cy):
     return 0
 
 
-def incircle(ax, ay, bx, by, cx, cy, dx, dy, ia, ib, ic, id_):
+def incircle(ax, ay, bx, by, cx, cy, dx, dy, ia, ib, ic, id_, lifts=None):
     """Return 1 if d lies strictly inside the circumcircle of CCW (a, b, c), else -1.
 
     Never returns 0: exact cocircularity is broken by the id-indexed
     perturbation, with smaller ids acting as if lifted slightly lower on the
     paraboloid.  ``ia .. id_`` are the generator ids of the four points;
-    periodic images share the id of their canonical generator.
+    periodic images share the id of their canonical generator.  With
+    ``lifts``, the points are rounded images of those generators, and the
+    answer is the one for the exact images.
     """
     adx = ax - dx
     ady = ay - dy
@@ -105,10 +144,17 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy, ia, ib, ic, id_):
                  + (abs(cdxady) + abs(adxcdy)) * blift
                  + (abs(adxbdy) + abs(bdxady)) * clift)
     errbound = _ICC_BOUND * permanent
+    if lifts is not None:
+        errbound += lifts.slack * (alift + blift + clift) + lifts.slack0
     if det > errbound:
         return 1
     if -det > errbound:
         return -1
+    if lifts is not None:
+        ax, ay = lifts.exact(ax, ay, ia)
+        bx, by = lifts.exact(bx, by, ib)
+        cx, cy = lifts.exact(cx, cy, ic)
+        dx, dy = lifts.exact(dx, dy, id_)
     return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy, ia, ib, ic, id_)
 
 

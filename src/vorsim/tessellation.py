@@ -1,24 +1,20 @@
 """Voronoi tessellations with incremental point replacement.
 
-A tessellation is backed by one of three structures: a sorted-order arc
-structure in one dimension, an incremental Delaunay engine in two, or a
-direct half-plane clipping fallback.  The fallback runs for fewer than
-three torus points, and as a last resort when the engine's static build
-aborts, which no start is known to make it do.  All backends answer the
-same questions: cell volumes under the reference density, neighbour sets
-over shared positive-length cell boundaries, and which cells changed after
-replacing or removing a point.  An engine update that raises ``Abort2D``
-rebuilds the backend; torus updates whose hole touches another period of
-itself are handled by the engine in place, so that too is a last resort.
+A tessellation is backed by a sorted-order arc structure in one dimension
+and by an incremental Delaunay engine in two, down to a single point.
+Both answer the same questions: cell volumes under the reference density,
+neighbour sets over shared positive-length cell boundaries, and which
+cells changed after replacing or removing a point.  An engine update that
+raises ``Abort2D`` rebuilds the engine from scratch, a last resort no
+known chain reaches; a build that raises it fails.
 
 In one dimension the build sorts the points once; that sort serves the
 duplicate check, the engine's key list and one vectorised pass that fills
 every cell, so a fresh tessellation has no stale cell.  Later updates
 recompute only the cells they change, one at a time, with the same float
 operations, so a cell reads the same bits whichever path computed it.
-The fallback backend clips every cell when it is built, so it has no
-stale cell either.  Each shape of clipped square cell has one area
-formula, so a volume has the same bits whichever read computed it.
+Each shape of clipped square cell has one area formula, so a volume has
+the same bits whichever read computed it.
 
 A cell changed by an update is recomputed when it is next read, and
 every read goes through ``_refresh``: ``volumes_at``/``degrees_at`` for
@@ -42,8 +38,8 @@ from bisect import bisect_left
 import numpy as np
 
 from .engine1d import Engine1D
-from .engine2d import Abort2D, build_engine
-from .errors import ConfigError, DuplicatePoints
+from .engine2d import build_engine
+from .errors import Abort2D, ConfigError, DuplicatePoints
 from .geom2d import (BOUNDARY, clip_polygon_halfplane, halfplane_area,
                      polygon_area, polygon_grid_measure)
 from .space import _canonical_array
@@ -136,14 +132,7 @@ class Tessellation:
             self._backend = "sorted1d"
             self._fill_1d(order)
             return
-        eng = None
-        if not (space.periodic and n < 3):
-            eng = build_engine(pts, space.size, space.periodic)
-        self._eng = eng
-        if eng is None:
-            self._backend = "clip2d"
-            self._clip_all()
-            return
+        self._eng = eng = build_engine(pts, space.size, space.periodic)
         self._backend = "delaunay2d"
         self._ghosts = eng.ghosts
         self._dirty_vol = set(range(n))
@@ -155,10 +144,8 @@ class Tessellation:
     def _check_duplicate(self, p):
         if self._backend == "sorted1d":
             dup = self._eng.has_exact(p)
-        elif self._backend == "delaunay2d":
-            dup = self._eng.has_exact(p[0], p[1])
         else:
-            dup = p in self.points
+            dup = self._eng.has_exact(p[0], p[1])
         if dup:
             raise DuplicatePoints(f"point {p!r} is already a generator")
 
@@ -190,7 +177,11 @@ class Tessellation:
         if self._backend == "sorted1d":
             aff = eng.delete(e)
             aff |= eng.insert(e, p)
-        elif self._backend == "delaunay2d":
+        elif n == 1:
+            # the torus engine cannot delete its only vertex, and a
+            # one-point rebuild costs no more than an update
+            return self._rebuild()
+        else:
             try:
                 aff = eng.delete(e)
                 eng.X[e] = p[0]
@@ -198,8 +189,6 @@ class Tessellation:
                 aff |= eng.insert(e)
             except Abort2D:
                 return self._rebuild()
-        else:
-            return self._rebuild()
         aff.add(e)
         return self._changed(aff)
 
@@ -219,8 +208,6 @@ class Tessellation:
         self._dirty_nbr.discard(e)
         if self._backend == "sorted1d":
             return self._changed(self._eng.delete(e))
-        if self._backend == "clip2d" or (self.space.periodic and n < 4):
-            return self._rebuild()
         try:
             aff = self._eng.delete(e)
         except Abort2D:
@@ -367,17 +354,17 @@ class Tessellation:
             if flags & bit:
                 poly, clabels = clip_polygon_halfplane(poly, clabels,
                                                        nx, ny, c * L, BOUNDARY)
-        vol, self._nbr[v] = self._polygon_cell(v, poly, clabels)
+        vol, self._nbr[v] = self._polygon_cell(poly, clabels)
         if side is None:
             self._vol[v] = vol
         return True
 
-    def _polygon_cell(self, v, poly, labels):
-        """Volume and sorted neighbour tuple of the clipped cell polygon of v.
+    def _polygon_cell(self, poly, labels):
+        """Volume and sorted neighbour tuple of a clipped square cell.
 
         ``labels[k]`` names the generator across the edge from ``poly[k]``
-        to ``poly[k+1]``; edges on the boundary, towards v itself or a
-        ghost, or no longer than the contact tolerance make no neighbour.
+        to ``poly[k+1]``; edges on the boundary or towards a ghost, or no
+        longer than the contact tolerance, make no neighbour.
         """
         space = self.space
         eps2 = self._eps2
@@ -386,7 +373,7 @@ class Tessellation:
         m = len(poly)
         for k in range(m):
             lab = labels[k]
-            if lab == BOUNDARY or lab == v or lab in ghosts:
+            if lab == BOUNDARY or lab in ghosts:
                 continue
             x1, y1 = poly[k]
             x2, y2 = poly[(k + 1) % m]
@@ -397,54 +384,8 @@ class Tessellation:
         elif space.density is None:
             vol = abs(polygon_area(poly))
         else:
-            vol = polygon_grid_measure(poly, space.density, space.size,
-                                       space.periodic)
+            vol = polygon_grid_measure(poly, space.density, space.size, False)
         return vol, tuple(sorted(nbrs))
-
-    def _clip_all(self):
-        """Direct cell extraction for the fallback backend."""
-        space = self.space
-        L = space.size
-        pts = self.points
-        n = len(pts)
-        reach2 = 2.0 * L * L * (1.0 + 1e-9)
-        half = 0.5 * L
-        for i in range(n):
-            px, py = pts[i]
-            if space.periodic:
-                poly = [(px - half, py - half), (px + half, py - half),
-                        (px + half, py + half), (px - half, py + half)]
-                labels = [i, i, i, i]
-                for j in range(n):
-                    qx, qy = pts[j]
-                    for ox in (-2, -1, 0, 1, 2):
-                        mx = qx + ox * L
-                        for oy in (-2, -1, 0, 1, 2):
-                            my = qy + oy * L
-                            nx = mx - px
-                            ny = my - py
-                            if nx == 0.0 and ny == 0.0:
-                                continue
-                            if nx * nx + ny * ny > reach2:
-                                continue
-                            # midpoint form avoids cancellation when the
-                            # generators are very close together
-                            c = nx * (0.5 * (px + mx)) + ny * (0.5 * (py + my))
-                            poly, labels = clip_polygon_halfplane(
-                                poly, labels, nx, ny, c, j)
-            else:
-                poly = [(0.0, 0.0), (L, 0.0), (L, L), (0.0, L)]
-                labels = [BOUNDARY] * 4
-                for j in range(n):
-                    if j == i:
-                        continue
-                    qx, qy = pts[j]
-                    nx = qx - px
-                    ny = qy - py
-                    c = nx * (0.5 * (px + qx)) + ny * (0.5 * (py + qy))
-                    poly, labels = clip_polygon_halfplane(
-                        poly, labels, nx, ny, c, j)
-            self._vol[i], self._nbr[i] = self._polygon_cell(i, poly, labels)
 
     # ------------------------------------------------------------------
     # views

@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from vorsim.geom2d import clip_polygon_halfplane, polygon_area
 from vorsim.space import Space
+from vorsim.tessellation import EDGE_EPS_REL
 
 ALL_KINDS = ("circle", "interval", "square", "torus")
 
@@ -31,6 +33,43 @@ def neighbor_pairs(tess):
         for j in nbrs:
             out.add((i, j) if i < j else (j, i))
     return out
+
+
+def clipped_torus_cells(points, L=1.0):
+    """Volumes and neighbour sets of the Voronoi cells of a uniform torus
+    configuration by direct half-plane clipping, with no triangulation:
+    each cell starts as the period square centred on its generator and is
+    cut by the bisector towards every image of every generator within
+    ``sqrt(2)*L``.  A neighbour shares an edge longer than the
+    tessellation's contact tolerance."""
+    n = len(points)
+    eps2 = (EDGE_EPS_REL * L) ** 2
+    half = 0.5 * L
+    vols = []
+    nbrs = []
+    for i, (px, py) in enumerate(points):
+        poly = [(px - half, py - half), (px + half, py - half),
+                (px + half, py + half), (px - half, py + half)]
+        labels = [i] * 4
+        for j, (qx, qy) in enumerate(points):
+            for ox in (-2, -1, 0, 1, 2):
+                for oy in (-2, -1, 0, 1, 2):
+                    mx = qx + ox * L
+                    my = qy + oy * L
+                    nx, ny = mx - px, my - py
+                    if (nx == 0.0 and ny == 0.0) \
+                            or nx * nx + ny * ny > 2.0 * L * L * (1 + 1e-9):
+                        continue
+                    c = nx * (0.5 * (px + mx)) + ny * (0.5 * (py + my))
+                    poly, labels = clip_polygon_halfplane(poly, labels,
+                                                          nx, ny, c, j)
+        vols.append(abs(polygon_area(poly)))
+        m = len(poly)
+        nbrs.append(frozenset(
+            labels[k] for k in range(m) if labels[k] != i
+            and (poly[(k + 1) % m][0] - poly[k][0]) ** 2
+            + (poly[(k + 1) % m][1] - poly[k][1]) ** 2 > eps2))
+    return np.array(vols), nbrs
 
 
 def serial_iid_mu(space, N, rng):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
-from helpers import neighbor_pairs, random_points
-from vorsim import engine2d, tessellation
+from helpers import clipped_torus_cells, neighbor_pairs, random_points
+from vorsim import engine2d
+from vorsim.errors import Abort2D, VorsimError
 from vorsim.process import initial_configuration
 from vorsim.tessellation import build, oracle_cell_stats
 
@@ -75,25 +76,109 @@ def _torus_start(torus, kind, n, seed):
     return random_points(np.random.default_rng(seed), torus, n)
 
 
+def _uniform_start(torus, n, k):
+    """Start k of the uniform n-point starts drawn from default_rng(n)."""
+    rng = np.random.default_rng(n)
+    for _ in range(k + 1):
+        pts = random_points(rng, torus, n)
+    return pts
+
+
+def _assert_matches_clipping(t, pts):
+    assert t.backend == "delaunay2d"
+    assert t._eng.validate() is None
+    vols, nbrs = clipped_torus_cells(pts)
+    assert np.max(np.abs(t.cell_volumes() - vols)) <= 1e-12
+    assert t.neighbor_sets() == nbrs
+
+
 @pytest.mark.parametrize("kind,n", [("cluster", 3), ("cluster", 4),
                                     ("cluster", 16), ("cluster", 256),
+                                    ("uniform", 1), ("uniform", 2),
                                     ("uniform", 3), ("uniform", 4),
                                     ("uniform", 6), ("uniform", 10)])
-def test_torus_starts_build_on_the_triangulation(torus, kind, n,
-                                                 monkeypatch):
+def test_torus_starts_build_on_the_triangulation(torus, kind, n):
     # deleting the seed lattice from these starts meets stars that touch
     # another period of their own vertex
     for seed in range(3):
         pts = _torus_start(torus, kind, n, seed)
-        t = build(pts, torus)
-        assert t.backend == "delaunay2d"
-        assert t._eng.validate() is None
-        with monkeypatch.context() as m:
-            m.setattr(tessellation, "build_engine", lambda *args: None)
-            ref = build(pts, torus)
-        assert ref.backend == "clip2d"
-        assert np.max(np.abs(t.cell_volumes() - ref.cell_volumes())) <= 1e-12
-        assert t.neighbor_sets() == ref.neighbor_sets()
+        _assert_matches_clipping(build(pts, torus), pts)
+
+
+@pytest.mark.parametrize("n,k", [(1, 12), (1, 95), (1, 101), (2, 91),
+                                 (2, 302), (2, 423), (3, 749), (3, 796),
+                                 (3, 1663)])
+def test_tied_seed_deletions_build_on_the_triangulation(torus, n, k):
+    # these starts leave seeds whose lifted images are nearly cocircular
+    # and round differently from one period to the next
+    pts = _uniform_start(torus, n, k)
+    _assert_matches_clipping(build(pts, torus), pts)
+
+
+def test_small_torus_census_builds_and_validates(torus):
+    for n in (1, 2, 3, 4):
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            eng = engine2d.build_engine(random_points(rng, torus, n), 1.0,
+                                        True)
+            assert eng.validate() is None
+
+
+def test_aborts_are_named_errors_and_builds_do_not_fall_back(torus,
+                                                            monkeypatch):
+    pts = random_points(np.random.default_rng(7), torus, 12)
+    t = build(pts, torus)
+    real_insert = engine2d.Engine2D.insert
+    aborts = []
+
+    def abort(self, v, start=None):
+        raise Abort2D("injected")
+
+    def abort_first(self, v, start=None):
+        if aborts:
+            return real_insert(self, v, start)
+        aborts.append(v)
+        abort(self, v)
+
+    # a chain update that aborts rebuilds, as a last resort
+    monkeypatch.setattr(engine2d.Engine2D, "insert", abort_first)
+    assert t.replace_point(3, (0.123, 0.456)) == tuple(range(12))
+    assert aborts == [3] and t._eng.validate() is None
+    # a build, or the rebuild after an update aborts, raises
+    monkeypatch.setattr(engine2d.Engine2D, "insert", abort)
+    with pytest.raises(VorsimError, match="injected"):
+        build(pts, torus)
+    with pytest.raises(VorsimError, match="injected"):
+        t.replace_point(5, (0.5, 0.5))
+
+
+def test_a_torus_build_with_no_free_seed_lattice_raises(torus):
+    # each build's first seed becomes a point, which takes its lattice
+    pts = [(0.5, 0.5)]
+    for _ in range(16):
+        eng = engine2d.build_engine(pts, 1.0, True)
+        pts.append((eng.X[len(pts)], eng.Y[len(pts)]))
+    with pytest.raises(VorsimError, match="seed lattice"):
+        build(pts, torus)
+
+
+# five points with exact coordinate ties: three share y, two share x, and
+# the x steps are a third of the period up to rounding
+_TIED = [(0.6872677996233333, 0.7453559924966666),
+         (0.6872677996233333, 0.4120226591633333),
+         (0.020601132956666664, 0.7453559924966666),
+         (0.35393446628999997, 0.7453559924966666),
+         (0.9616571936637868, 0.7247899407735336)]
+
+
+def test_tied_points_build_and_survive_deletions(torus):
+    _assert_matches_clipping(build(_TIED, torus), _TIED)
+    for seed in range(100):
+        extra = random_points(np.random.default_rng(seed), torus, 3)
+        eng = engine2d.build_engine(_TIED + extra, 1.0, True)
+        for v in (5, 6, 7):
+            eng.delete(v)
+            assert eng.validate() is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50, 2000])

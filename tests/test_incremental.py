@@ -123,19 +123,18 @@ def test_updates_return_the_indices_of_the_changed_cells(space, monkeypatch):
     rng = np.random.default_rng(30)
     rebuilds = _thin_to_one(space, random_points(rng, space, 40), 31, 0.5,
                             monkeypatch)
-    if space.kind == "torus":
-        # thinning below four points rebuilds, on clip2d below three
-        assert rebuilds[-2:] == [2, 1]
+    # every update down to one point is in place
+    assert rebuilds == []
 
 
-def test_collapsed_torus_removals_rebuild_and_keep_indices(monkeypatch):
+def test_collapsed_torus_removals_update_in_place_and_keep_indices(monkeypatch):
     torus = Space("torus", 1.0)
     pts = initial_configuration(torus, 32, InitSpec("single_cluster"),
                                 np.random.default_rng(32))
     rebuilds = _thin_to_one(torus, pts, 33, 1.0, monkeypatch)
-    # removals that touch another period of the vertex update in place;
-    # only thinning below three points rebuilds (on clip2d)
-    assert rebuilds == [2, 1]
+    # removals that touch another period of the vertex update in place,
+    # down to one point
+    assert rebuilds == []
 
 
 @pytest.mark.parametrize("mode,T", [("replacement", 300),
@@ -172,8 +171,7 @@ def test_collapsed_torus_chain_updates_in_place(mode, T, monkeypatch):
     tr = run(params, observers=[check])
     assert len(checked) == T // 50
     assert len(tr.final_points) == (256 if mode == "replacement" else 1)
-    # set-up builds the engine; thinning below four points rebuilds on
-    # clip2d, which calls no builder
+    # set-up builds the engine; no update rebuilds it, down to one point
     assert calls == [256]
 
 
@@ -239,6 +237,19 @@ def test_collapsed_torus_refills_find_rim_apexes_and_undo_inserts(
     assert len(undone) > 100 and not any(undone)
     # the rest refill when the point removed is not the newest one
     assert sum(refilled for _, refilled in chain) < 0.15 * len(chain)
+
+
+@pytest.mark.parametrize("kind", ["square", "torus"])
+def test_replacing_the_only_point(kind):
+    space = Space(kind, 1.0)
+    t = build([(0.3, 0.4)], space)
+    for p in [(0.7, 0.1), (0.05, 0.95), (0.5, 0.5)]:
+        assert t.replace_point(0, p) == (0,)
+        assert t.points == [p]
+        assert t.backend == "delaunay2d"
+        assert t._eng.validate() is None
+        assert t.cell_volumes() == pytest.approx([1.0], abs=1e-15)
+        assert t.neighbor_sets() == [frozenset()]
 
 
 def test_module_level_replace_reports_affected_cells(circle):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vorsim.predicates import incircle, orient2d, orient2d_exact
+from vorsim.predicates import Lifts, incircle, orient2d, orient2d_exact
 
 
 def _orient_oracle(ax, ay, bx, by, cx, cy):
@@ -113,3 +113,28 @@ def test_incircle_breaks_ties_between_periodic_images(quad, ids):
         signs.append(incircle(*q[0], *q[1], *q[2], *q[3], *i))
     assert signs[1] == -signs[0] and signs[2] == signs[0]
     assert signs[3] == -signs[0]
+
+
+def test_incircle_with_lifts_answers_for_the_exact_images():
+    # three generators a third of a period apart: 2, a period below it, 1
+    # and 3 are cocircular up to rounding, and the float images of the
+    # four round differently from one period to the next
+    X = [0.6872677996233333, 0.6872677996233333, 0.020601132956666664,
+         0.35393446628999997]
+    Y = [0.7453559924966666, 0.4120226591633333, 0.7453559924966666,
+         0.7453559924966666]
+    lifts = Lifts(X, Y, 1.0)
+    quad = ((2, 0, 0), (2, 0, -1), (1, 0, 0), (3, 0, 0))
+    plain, lifted = set(), set()
+    for sx in (-1, 0, 1, 2):
+        for sy in (-1, 0, 1, 2):
+            pts = [(X[i] + (lx + sx), Y[i] + (ly + sy)) for i, lx, ly in quad]
+            args = [z for p in pts for z in p] + [i for i, _, _ in quad]
+            plain.add(incircle(*args))
+            lifted.add(incircle(*args, lifts))
+            exact = [(Fraction(X[i]) + lx + sx, Fraction(Y[i]) + ly + sy)
+                     for i, lx, ly in quad]
+            assert incircle(*args, lifts) == \
+                _incircle_oracle(*[z for p in exact for z in p])
+    assert plain == {-1, 1}
+    assert lifted == {-1}
