@@ -12,6 +12,7 @@ adjusts single entries without editing files.
 """
 
 import copy
+import math
 
 import yaml
 
@@ -57,6 +58,14 @@ def _missing(name):
     raise ConfigError(f"missing required key {name}")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_config(cfg):
     """Validate structure and defaults of a parsed configuration.
 
@@ -94,13 +103,13 @@ def validate_config(cfg):
     for key in ("N", "T"):
         if key not in pr:
             _missing(f"process.{key}")
-        if not isinstance(pr[key], int) or isinstance(pr[key], bool):
+        if not _is_int(pr[key]):
             raise ConfigError(f"process.{key} must be an integer")
     if pr["N"] < 2:
         raise ConfigError("process.N must be at least 2")
     if pr["T"] < 1:
         raise ConfigError("process.T must be at least 1")
-    if not isinstance(pr["seed"], int) or isinstance(pr["seed"], bool):
+    if not _is_int(pr["seed"]):
         raise ConfigError("process.seed must be an integer")
     if "selection" not in pr:
         _missing("process.selection")
@@ -115,6 +124,20 @@ def validate_config(cfg):
         _check_keys(st, _STAT_KEYS, "statistics")
         for key, dflt in _DEFAULTS["statistics"].items():
             st.setdefault(key, dflt)
+        # checked here, so a bad value fails before the chain runs
+        for key in ("f_resolution", "volume_bins", "min_bin_count"):
+            if not _is_int(st[key]) or st[key] < 1:
+                raise ConfigError(
+                    f"statistics.{key} must be a positive integer")
+        if not _is_int(st["grid_n"]) or st["grid_n"] < 2:
+            raise ConfigError("statistics.grid_n must be an integer of at "
+                              "least 2")
+        rg = st.get("r_grid")
+        if rg is not None and not (
+                isinstance(rg, list)
+                and all(_is_number(r) and 0 <= r < math.inf for r in rg)):
+            raise ConfigError("statistics.r_grid must be null or a list of "
+                              "finite numbers >= 0")
 
     sw = cfg.get("sweep")
     if sw is not None:
@@ -129,10 +152,10 @@ def validate_config(cfg):
     for key, dflt in _DEFAULTS["output"].items():
         out.setdefault(key, dflt)
     se = out["snapshot_every"]
-    if not isinstance(se, int) or isinstance(se, bool) or se < 1:
+    if not _is_int(se) or se < 1:
         raise ConfigError("output.snapshot_every must be a positive integer")
     rb = out["raster_bins"]
-    if not isinstance(rb, int) or isinstance(rb, bool) or rb < 1:
+    if not _is_int(rb) or rb < 1:
         raise ConfigError("output.raster_bins must be a positive integer")
     return cfg
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.ndimage import maximum_filter
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, InsufficientData
@@ -201,6 +202,29 @@ def _nearest_distances_1d(xs, grid, L, periodic):
     return d_g, d_f
 
 
+def _reachable_grid(pts, G, L, r_max):
+    """Flat indices ``row * G + col`` of the F-grid points that may lie
+    within ``r_max`` of a generator, in increasing order.
+
+    The cells of a G x G grid that hold a generator are marked and the
+    mark is dilated by k = ceil(r_max G / L) + 1 cells along each axis,
+    wrapped around the chart (on the square a superset of the clamped
+    dilation, which does no harm).  A test point of cell (i, j) within
+    ``r_max`` of a generator in cell (a, b) has |i - a| and |j - b| at
+    most r_max G / L + 1.5, so it is marked.  Every point is marked when
+    the box covers the grid or ``r_max`` is not finite.
+    """
+    if not np.isfinite(r_max):
+        return np.arange(G * G)
+    k = max(math.ceil(r_max * G / L), 0) + 1
+    if 2 * k + 1 >= G:
+        return np.arange(G * G)
+    cells = np.minimum((pts * (G / L)).astype(np.int64), G - 1)
+    mask = np.zeros((G, G), dtype=bool)
+    mask[cells[:, 1], cells[:, 0]] = True
+    return np.flatnonzero(maximum_filter(mask, size=2 * k + 1, mode="wrap"))
+
+
 def j_function(config, space, r_grid=None, f_resolution=100_000):
     """Empirical J-function (1 - G) / (1 - F) of a configuration.
 
@@ -212,11 +236,27 @@ def j_function(config, space, r_grid=None, f_resolution=100_000):
     Radii where the estimate is undefined (no interior sample left, or
     F = 1) are omitted.
 
-    In two dimensions the nearest-neighbour distances come from a
-    ``cKDTree``.  In one they come from sorted order: each generator's
-    two neighbours and, found by ``searchsorted``, the two generators
-    around each test point, with the tree's distance arithmetic, so the
-    rows have the bits the tree would give.
+    In two dimensions the distances come from a ``cKDTree`` and the test
+    points form a G x G grid, G = round(sqrt(f_resolution)).  F counts
+    only test points within the largest radius r_max of ``r_grid``, so
+    the F pass queries only the grid points a generator can reach: those
+    at most ceil(r_max G / L) + 1 cells from a cell holding a generator
+    along each axis, with a ``distance_upper_bound`` just above r_max.
+    This keeps the bits of a query of the whole grid: the tree and the
+    coordinates of each queried point are the same, so each reported
+    distance is too, and a point left out or reported beyond the bound
+    is one the whole query puts beyond r_max, which no F(r) counts.
+    F(r) then divides the count within r by the number of test points
+    in use, G**2 on the torus and m(r)**2 under minus sampling on the
+    square, where m(r) counts the grid coordinates at least r from both
+    ends of an axis; ``mean`` over the whole grid divides the same two
+    integers.  On a collapsed pattern few grid points lie near a
+    generator, and the F pass skips nearly all of the grid.
+
+    In one dimension the distances come from sorted order: each
+    generator's two neighbours and, found by ``searchsorted``, the two
+    generators around each test point, with the tree's distance
+    arithmetic, so the rows have the bits the tree would give.
 
     Returns
     -------
@@ -233,38 +273,56 @@ def j_function(config, space, r_grid=None, f_resolution=100_000):
         # taken in sorted order
         xs = np.sort(np.asarray(config, dtype=float).reshape(-1))
         R = max(int(f_resolution), 2)
-        grid = (np.arange(R) + 0.5) * (L / R)
-        d_g, d_f = _nearest_distances_1d(xs, grid, L, periodic)
+        axis = (np.arange(R) + 0.5) * (L / R)
+        d_g, d_f = _nearest_distances_1d(xs, axis, L, periodic)
         pts = xs.reshape(-1, 1)
-        grid = grid.reshape(-1, 1)
     else:
         pts = _points_matrix(config, space.dim)
         tree = cKDTree(pts, boxsize=L if periodic else None)
         # nearest neighbour of each generator (k=1 is the point itself)
         d_g = tree.query(pts, k=2)[0][:, 1]
-        G = max(int(round(math.sqrt(f_resolution))), 2)
-        xs = (np.arange(G) + 0.5) * (L / G)
-        XX, YY = np.meshgrid(xs, xs)
-        grid = np.column_stack([XX.ravel(), YY.ravel()])
-        d_f = tree.query(grid)[0]
     if r_grid is None:
         hi = float(np.percentile(d_g, 90.0))
         r_grid = np.linspace(0.0, hi, 21)[1:]
+    r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.size == 0:
+        return np.zeros((0, 2))
+    if space.dim == 2:
+        G = max(int(round(math.sqrt(f_resolution))), 2)
+        axis = (np.arange(G) + 0.5) * (L / G)
+        r_max = float(r_grid.max())
+        flat = _reachable_grid(pts, G, L, r_max)
+        # the test point of row i, column j is (axis[j], axis[i]), the
+        # coordinates a meshgrid of the axis would give it
+        q = np.empty((flat.size, 2))
+        q[:, 0] = axis[flat % G]
+        q[:, 1] = axis[flat // G]
+        # the tree compares squared distances: a bound a little above
+        # r_max whose square neither underflows nor rounds below that of
+        # a distance the tree reports as <= r_max
+        bound = max(r_max, 0.0) * (1.0 + 2.0 ** -40) + 1e-100 \
+            if np.isfinite(r_max) else np.inf
+        d_f = tree.query(q, distance_upper_bound=bound)[0]
+        del q
     rows = []
     if not periodic:
         bd_g = _boundary_distance(pts, L)
-        bd_f = _boundary_distance(grid, L)
-    for r in np.asarray(r_grid, dtype=float):
+        # minus sampling keeps m(r) coordinates per axis, so m(r)**dim
+        # test points, at radius r
+        edge = np.minimum(axis, L - axis)
+        bd_f = edge if space.dim == 1 else \
+            np.minimum(edge[flat % G], edge[flat // G])
+    for r in r_grid:
         if periodic:
             g = float((d_g <= r).mean())
-            f = float((d_f <= r).mean())
+            f = np.count_nonzero(d_f <= r) / axis.size ** space.dim
         else:
             use_g = bd_g >= r
-            use_f = bd_f >= r
-            if not use_g.any() or not use_f.any():
+            m = np.count_nonzero(edge >= r)
+            if not use_g.any() or m == 0:
                 continue
             g = float((d_g[use_g] <= r).mean())
-            f = float((d_f[use_f] <= r).mean())
+            f = np.count_nonzero((d_f <= r) & (bd_f >= r)) / m ** space.dim
         if f >= 1.0:
             continue
         rows.append((float(r), (1.0 - g) / (1.0 - f)))
@@ -361,7 +419,16 @@ def pattern_summary(tess, r_grid=None, f_resolution=100_000, grid_n=10,
     """Compute the standard summary bundle for one tessellated pattern."""
     vols = np.asarray(tess.cell_volumes(), dtype=float)
     degs = np.asarray(tess.degrees(), dtype=np.int64)
-    v_counts, v_edges = np.histogram(vols, bins=volume_bins)
+    lo, hi = float(vols.min()), float(vols.max())
+    edges = np.linspace(lo, hi, volume_bins + 1)
+    span = None
+    if np.any(edges[:-1] >= edges[1:]):
+        # a range too narrow for volume_bins finite bins (two equal cells
+        # up to the last bits) gets numpy's widening of a zero-width
+        # range by 0.5, or by enough ulps where 0.5 is below them
+        w = max(0.5, volume_bins * float(np.spacing(hi)))
+        span = (lo - w, hi + w)
+    v_counts, v_edges = np.histogram(vols, bins=volume_bins, range=span)
     d_counts = np.bincount(degs)
     d_values = np.arange(d_counts.size)
     return PatternSummary(

@@ -1,5 +1,7 @@
 """Shared construction helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from vorsim.geom2d import clip_polygon_halfplane, polygon_area
@@ -104,39 +106,53 @@ def snapshot_rows_reference(trajectory, dim):
     return lines
 
 
+def f_grid(space, f_resolution):
+    """The test points of ``j_function``'s F, as an (m, dim) array: R
+    points in one dimension, the whole ``meshgrid`` of a G x G grid in
+    two."""
+    L = space.size
+    if space.dim == 1:
+        R = max(int(f_resolution), 2)
+        return ((np.arange(R) + 0.5) * (L / R)).reshape(-1, 1)
+    G = max(int(round(math.sqrt(f_resolution))), 2)
+    xs = (np.arange(G) + 0.5) * (L / G)
+    XX, YY = np.meshgrid(xs, xs)
+    return np.column_stack([XX.ravel(), YY.ravel()])
+
+
 def ckdtree_nearest_distances(config, space, f_resolution):
-    """Nearest-neighbour distances of the generators and of the F-grid
-    test points of a 1D configuration, from a ``cKDTree``: the reference
-    for the J-function's sorted-order distances."""
+    """Nearest-neighbour distances of the generators and of every F-grid
+    test point, from a ``cKDTree`` queried at the whole grid: the
+    reference for the J-function's sorted-order (1D) and windowed (2D)
+    distances."""
     from scipy.spatial import cKDTree
 
     L = space.size
     pts = np.asarray(config, dtype=float).reshape(-1, space.dim)
     tree = cKDTree(pts, boxsize=L if space.periodic else None)
     d_g = tree.query(pts, k=2)[0][:, 1]
-    R = max(int(f_resolution), 2)
-    grid = ((np.arange(R) + 0.5) * (L / R)).reshape(-1, 1)
-    return d_g, tree.query(grid)[0]
+    return d_g, tree.query(f_grid(space, f_resolution))[0]
 
 
 def j_function_reference(config, space, r_grid, f_resolution):
-    """The rows of ``j_function`` on a 1D configuration, computed from
-    ``cKDTree`` distances."""
+    """The rows of ``j_function``, computed from ``cKDTree`` distances of
+    every generator and every F-grid test point."""
     d_g, d_f = ckdtree_nearest_distances(config, space, f_resolution)
     L = space.size
-    pts = np.asarray(config, dtype=float).reshape(-1)
-    R = max(int(f_resolution), 2)
-    grid = (np.arange(R) + 0.5) * (L / R)
+    pts = np.asarray(config, dtype=float).reshape(-1, space.dim)
+    grid = f_grid(space, f_resolution)
     if r_grid is None:
         r_grid = np.linspace(0.0, float(np.percentile(d_g, 90.0)), 21)[1:]
+    bd_g = np.minimum(pts, L - pts).min(axis=1)
+    bd_f = np.minimum(grid, L - grid).min(axis=1)
     rows = []
     for r in np.asarray(r_grid, dtype=float):
         if space.periodic:
             g = float((d_g <= r).mean())
             f = float((d_f <= r).mean())
         else:
-            use_g = np.minimum(pts, L - pts) >= r
-            use_f = np.minimum(grid, L - grid) >= r
+            use_g = bd_g >= r
+            use_f = bd_f >= r
             if not use_g.any() or not use_f.any():
                 continue
             g = float((d_g[use_g] <= r).mean())

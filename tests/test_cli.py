@@ -95,6 +95,25 @@ def test_simulate_thinning_to_one_survivor_skips_summary(tmp_path, capsys):
     assert "fitted_K=" in msg or "drift skipped" in msg
 
 
+@pytest.mark.parametrize("size", [1.0, 1e9])
+def test_simulate_summarises_two_cells_of_nearly_equal_volume(tmp_path,
+                                                              size):
+    # the two torus cells are half the torus up to the last bits, a
+    # volume range too narrow for 16 finite histogram bins; at size 1e9
+    # a widening by 0.5 is below the volumes' ulp
+    cfg = {"schema_version": 1,
+           "space": {"kind": "torus", "size": size},
+           "process": {"N": 2, "T": 200, "seed": 6,
+                       "selection": {"kind": "volume_power", "alpha": 1.0}}}
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", out]) == 0
+    with open(os.path.join(out, "summary.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    counts = [int(c) for table, _, c in rows if table == "volume_bin"]
+    assert len(counts) == 16 and sum(counts) == 2
+
+
 def test_simulate_skips_a_drift_fit_with_only_the_empty_region_bin(
         tmp_path, capsys):
     # the region [0, 0.5] empties early, so every later event falls in the

@@ -65,6 +65,32 @@ def test_missing_and_invalid_values_are_named():
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("volume_bins", 0), ("grid_n", "x"), ("f_resolution", -5),
+    ("r_grid", 0.1), ("r_grid", ["a"])])
+def test_statistics_values_are_checked_before_the_chain(key, value):
+    cfg = _minimal()
+    cfg["statistics"] = {key: value}
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert f"statistics.{key}" in str(err.value)
+
+
+def test_statistics_value_ranges():
+    for key, value in (("min_bin_count", 0), ("grid_n", 1),
+                       ("volume_bins", True), ("f_resolution", 2.0),
+                       ("r_grid", [0.1, -0.1]), ("r_grid", [float("nan")]),
+                       ("r_grid", [float("inf")]), ("r_grid", [True])):
+        cfg = _minimal()
+        cfg["statistics"] = {key: value}
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+    for r_grid in (None, [], [0, 0.05, 1]):
+        cfg = _minimal()
+        cfg["statistics"] = {"r_grid": r_grid, "grid_n": 2}
+        assert validate_config(cfg)["statistics"]["r_grid"] == r_grid
+
+
 def test_dump_and_load_round_trip(tmp_path):
     cfg = validate_config(_minimal())
     path = tmp_path / "run.yaml"

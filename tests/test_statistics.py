@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from helpers import (ckdtree_nearest_distances, j_function_reference,
                      random_points)
+from vorsim import statistics
 from vorsim.errors import ConfigError, InsufficientData
 from vorsim.process import ProcessParams, SelectionSpec, run
 from vorsim.space import Space
@@ -187,6 +189,64 @@ def test_1d_j_function_equals_the_kd_tree_bit_for_bit(kind, L):
             want = j_function_reference(config, space, r_grid, R)
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+
+
+def _configs_2d(L, G):
+    """2D configurations for the windowed F pass: a uniform sample, one
+    cluster of radius 0.05 L, a cluster across the wrap corner (four
+    corner clusters on the square), points on F-grid positions and two
+    points."""
+    rng = np.random.default_rng(49)
+    axis = (np.arange(G) + 0.5) * (L / G)
+    on_grid = np.unique(axis[rng.choice(G, (8, 2))], axis=0)
+    return {
+        "uniform": rng.random((300, 2)) * L,
+        "cluster": 0.5 * L + 0.05 * L * (2.0 * rng.random((256, 2)) - 1.0),
+        "corner": (0.05 * L * (2.0 * rng.random((256, 2)) - 1.0)) % L,
+        "on_grid": on_grid,
+        "two": rng.random((2, 2)) * L,
+    }
+
+
+@pytest.mark.parametrize("kind", ["torus", "square"])
+@pytest.mark.parametrize("f_resolution", [4, 1000, 40_000])
+def test_2d_j_function_equals_the_whole_grid_query_bit_for_bit(
+        kind, f_resolution):
+    L = 1.0
+    space = Space(kind, L)
+    G = max(int(round(np.sqrt(f_resolution))), 2)
+    for name, pts in _configs_2d(L, G).items():
+        config = [tuple(p) for p in pts]
+        ref_g, ref_f = ckdtree_nearest_distances(config, space, f_resolution)
+        # radii at the distances themselves put ties on the grid; keep
+        # them below the default r_max, so the window stays narrow
+        near = np.concatenate([ref_g, ref_f[::101]])
+        ties = np.unique(near[near <= np.percentile(ref_g, 90.0)])
+        # radii from L/2 on mark the whole grid; at r_max = 0 only the
+        # points on grid positions count
+        for r_grid in (None, [], ties, [0.01 * L, 0.5 * L, 0.75 * L],
+                       [0.0]):
+            got = j_function(config, space, r_grid, f_resolution)
+            want = j_function_reference(config, space, r_grid, f_resolution)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_collapsed_j_function_queries_few_grid_points(torus, monkeypatch):
+    rows = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(statistics, "cKDTree", CountingTree)
+    rng = np.random.default_rng(50)
+    pts = 0.5 + 0.05 * (2.0 * rng.random((256, 2)) - 1.0)
+    j_function([tuple(p) for p in pts], torus)
+    # the generators' own query, then the F pass over a 316 x 316 grid
+    assert rows[0] == 256
+    assert len(rows) == 2 and rows[1] < 0.05 * 316 ** 2
 
 
 def test_quadrat_variance_frozen_extreme(square):
