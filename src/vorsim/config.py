@@ -18,7 +18,7 @@ import yaml
 
 from .errors import ConfigError
 from .process import ProcessParams, SelectionSpec
-from .space import ALL_KINDS, Space
+from .space import ALL_KINDS, KINDS_1D, Space, region_bounds
 
 SCHEMA_VERSION = 1
 
@@ -138,6 +138,15 @@ def validate_config(cfg):
                 and all(_is_number(r) and 0 <= r < math.inf for r in rg)):
             raise ConfigError("statistics.r_grid must be null or a list of "
                               "finite numbers >= 0")
+        region = st.get("region")
+        if region is not None:
+            if not (isinstance(region, list)
+                    and all(_is_number(v) for v in region)):
+                raise ConfigError("statistics.region must be null or a list "
+                                  "of numbers")
+            # the check TestRegion makes after the chain, made before it
+            region_bounds(1 if sp["kind"] in KINDS_1D else 2,
+                          float(sp["size"]), region)
 
     sw = cfg.get("sweep")
     if sw is not None:

@@ -22,6 +22,29 @@ KINDS_2D = ("square", "torus")
 ALL_KINDS = KINDS_1D + KINDS_2D
 
 
+def region_bounds(dim, size, bounds):
+    """The bounds of an axis-aligned region as floats, checked.
+
+    ``(a, b)`` in one dimension, ``(x0, x1, y0, y1)`` in two; each span
+    must be ascending and lie inside the chart [0, size].
+    """
+    vals = tuple(float(v) for v in bounds)
+    if dim == 1:
+        if len(vals) != 2:
+            raise ConfigError("a 1D region needs bounds (a, b)")
+        spans = (vals,)
+    else:
+        if len(vals) != 4:
+            raise ConfigError("a 2D region needs bounds (x0, x1, y0, y1)")
+        spans = (vals[:2], vals[2:])
+    for lo, hi in spans:
+        if not (0.0 <= lo < hi <= size):
+            raise ConfigError(
+                f"region span ({lo}, {hi}) must be ascending inside "
+                f"the chart [0, {size}]")
+    return vals
+
+
 def _canonical_array(space, xy):
     """``space.canonicalize`` of every point in one numpy pass.
 

@@ -21,6 +21,7 @@ from scipy.ndimage import maximum_filter
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, InsufficientData
+from .space import region_bounds
 
 # Collapse detector default for the 2D quadrat index, whose uniform
 # baseline is 1; the 1D gap index has baseline log n, so its threshold is
@@ -62,21 +63,7 @@ class TestRegion:
     """
 
     def __init__(self, space, bounds):
-        L = space.size
-        vals = tuple(float(v) for v in bounds)
-        if space.dim == 1:
-            if len(vals) != 2:
-                raise ConfigError("a 1D region needs bounds (a, b)")
-            spans = (vals,)
-        else:
-            if len(vals) != 4:
-                raise ConfigError("a 2D region needs bounds (x0, x1, y0, y1)")
-            spans = (vals[:2], vals[2:])
-        for lo, hi in spans:
-            if not (0.0 <= lo < hi <= L):
-                raise ConfigError(
-                    f"region span ({lo}, {hi}) must be ascending inside "
-                    f"the chart [0, {L}]")
+        vals = region_bounds(space.dim, space.size, bounds)
         self.space = space
         self.bounds = vals
         self.mu_measure = space.region_measure(vals, "mu")
@@ -417,8 +404,10 @@ class PatternSummary:
 def pattern_summary(tess, r_grid=None, f_resolution=100_000, grid_n=10,
                     volume_bins=16):
     """Compute the standard summary bundle for one tessellated pattern."""
-    vols = np.asarray(tess.cell_volumes(), dtype=float)
+    # degrees first: a neighbour read stores each stale cell's volume too,
+    # so no 2D cell of a fresh tessellation is scanned twice
     degs = np.asarray(tess.degrees(), dtype=np.int64)
+    vols = np.asarray(tess.cell_volumes(), dtype=float)
     lo, hi = float(vols.min()), float(vols.max())
     edges = np.linspace(lo, hi, volume_bins + 1)
     span = None

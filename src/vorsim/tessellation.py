@@ -9,17 +9,19 @@ raises ``Abort2D`` rebuilds the engine from scratch, a last resort no
 known chain reaches; a build that raises it fails.
 
 In one dimension the build sorts the points once; that sort serves the
-duplicate check, the engine's key list and one vectorised pass that fills
-every cell, so a fresh tessellation has no stale cell.  Later updates
-recompute only the cells they change, one at a time, with the same float
-operations, so a cell reads the same bits whichever path computed it.
+duplicate check, the engine's blocks of sorted coordinates and one
+vectorised pass that fills every volume, so a fresh tessellation has no
+stale cell.  Later updates recompute only the volumes they change, one at
+a time, with the same float operations, so a cell reads the same bits
+whichever path computed it.  A 1D cell's neighbours are its neighbours in
+sorted order: they are read from the engine and never cached.
 Each shape of clipped square cell has one area formula, so a volume has
 the same bits whichever read computed it.
 
 A cell changed by an update is recomputed when it is next read, and
 every read goes through ``_refresh``: ``volumes_at``/``degrees_at`` for
 the cells a step changed, ``cell_volumes``/``degrees`` and the other
-whole views for all stale cells.  Volumes and neighbour sets go stale
+whole views for all stale cells.  Volumes and 2D neighbour sets go stale
 separately, so a volume-only read can skip the adjacency work.
 
 Cells are addressed by their index in the configuration.  ``replace_point``
@@ -58,7 +60,8 @@ def _canonical_points(points, space):
     """Canonical copies of the points, checked for coincident pairs.
 
     Returns the points and, in one dimension, the stable argsort of their
-    coordinates, which the sorted1d backend is built from (None in 2D).
+    coordinates with the sorted coordinates, which the sorted1d backend is
+    built from (None in 2D).
     """
     if space.dim == 1:
         xs = np.asarray(points, dtype=float).reshape(len(points))
@@ -73,7 +76,7 @@ def _canonical_points(points, space):
             k = int(same[0])
             raise DuplicatePoints(f"points {int(order[k])} and "
                                   f"{int(order[k + 1])} coincide")
-        return pts, order
+        return pts, (order, xs)
     pts = [space.canonicalize(p) for p in points]
     if not pts:
         raise ConfigError("a configuration needs at least one point")
@@ -91,11 +94,11 @@ class Tessellation:
     def build(cls, points, space):
         self = cls.__new__(cls)
         self.space = space
-        self.points, order = _canonical_points(points, space)
+        self.points, srt = _canonical_points(points, space)
         self._eps2 = (EDGE_EPS_REL * space.size) ** 2
         self._vol = {}
         self._nbr = {}
-        self._install_backend(order)
+        self._install_backend(srt)
         return self
 
     @property
@@ -106,11 +109,12 @@ class Tessellation:
     def backend(self):
         return self._backend
 
-    def _install_backend(self, order=None):
+    def _install_backend(self, srt=None):
         """(Re)build the backing structure from the current points.
 
-        ``order`` is the argsort from ``_canonical_points``; only the 1D
-        backend, which is built once and never rebuilt, needs it.
+        ``srt`` is the argsort and the sorted coordinates from
+        ``_canonical_points``; only the 1D backend, which is built once and
+        never rebuilt, needs them.
         """
         pts = self.points
         n = len(pts)
@@ -126,11 +130,12 @@ class Tessellation:
         self._dirty_vol = set()
         self._dirty_nbr = set()
         if space.dim == 1:
-            self._eng = Engine1D(space.size, space.periodic,
-                                 dict(zip(eid, pts)),
-                                 [(pts[i], eid[i]) for i in order.tolist()])
+            order, xs = srt
+            # ids are 0..n-1, so the id -> coordinate map is a list
+            self._eng = Engine1D(space.size, space.periodic, list(pts), xs,
+                                 order)
             self._backend = "sorted1d"
-            self._fill_1d(order)
+            self._fill_1d(order, xs)
             return
         self._eng = eng = build_engine(pts, space.size, space.periodic)
         self._backend = "delaunay2d"
@@ -153,7 +158,8 @@ class Tessellation:
         """Mark the cells of engine ids ``aff`` stale; returns their indices."""
         aff -= self._ghosts
         self._dirty_vol |= aff
-        self._dirty_nbr |= aff
+        if self._backend != "sorted1d":
+            self._dirty_nbr |= aff
         eid = self._eid
         return tuple(bisect_left(eid, e) for e in sorted(aff))
 
@@ -221,44 +227,44 @@ class Tessellation:
     def _refresh(self, es, want_nbrs):
         """Recompute the stale cells among engine ids ``es``.
 
-        A cell is stale for volume reads while in ``_dirty_vol`` and for
-        neighbour reads while in ``_dirty_nbr`` (which holds every id of
-        ``_dirty_vol``).  Recomputing a cell always stores its volume; it
-        leaves ``_dirty_nbr`` when its neighbours were stored too, which
-        1D cells always do and 2D cells do when ``_cell_2d`` says so.
+        A cell is stale for volume reads while in ``_dirty_vol``.  A 2D
+        cell is stale for neighbour reads while in ``_dirty_nbr`` (which
+        then holds every id of ``_dirty_vol``); recomputing it always
+        stores its volume, and it leaves ``_dirty_nbr`` when ``_cell_2d``
+        says its neighbours were stored too.  1D cells cache no
+        neighbours, so there ``want_nbrs`` asks for nothing more.
         """
         dirty_vol = self._dirty_vol
+        if self._backend == "sorted1d":
+            for e in es:
+                if e in dirty_vol:
+                    self._cell_1d(e)
+                    dirty_vol.discard(e)
+            return
         dirty_nbr = self._dirty_nbr
         dirty = dirty_nbr if want_nbrs else dirty_vol
-        one_d = self._backend == "sorted1d"
         for e in es:
             if e in dirty:
-                if one_d:
-                    self._cell_1d(e)
-                    stored = True
-                else:
-                    stored = self._cell_2d(e, want_nbrs)
+                stored = self._cell_2d(e, want_nbrs)
                 dirty_vol.discard(e)
                 if stored:
                     dirty_nbr.discard(e)
 
-    def _fill_1d(self, order):
-        """Every cell of a fresh sorted1d backend in one vectorised pass.
+    def _fill_1d(self, order, xs):
+        """Every volume of a fresh sorted1d backend in one vectorised pass.
 
-        ``order`` sorts the points.  Bounds and volumes use the float
-        operations of ``_cell_1d`` (numpy's float ``mod`` rounds as
-        Python's ``%`` does), and the caches are filled in id order, as
-        ``cell_volumes`` reads them.
+        ``order`` sorts the points into ``xs``.  Bounds and volumes use the
+        float operations of ``_cell_1d`` (numpy's float ``mod`` rounds as
+        Python's ``%`` does), and the cache is filled in id order, as
+        ``cell_volumes`` reads it.
         """
         space = self.space
         eid = self._eid
         n = len(eid)
         if n == 1:
             self._vol[eid[0]] = space.total_measure("lambda")
-            self._nbr[eid[0]] = ()
             return
         L = space.size
-        xs = np.array(self.points)[order]
         if space.periodic:
             # the far end of each cell is the near end of the next one
             mid = xs + np.mod(np.roll(xs, -1) - xs, L) / 2.0
@@ -277,40 +283,49 @@ class Tessellation:
         by_id = np.empty(n)
         by_id[order] = vol
         self._vol.update(zip(eid, by_id.tolist()))
-        left = np.roll(order, 1)
-        right = np.roll(order, -1)
-        lo = np.empty_like(order)
-        hi = np.empty_like(order)
-        lo[order] = np.minimum(left, right)
-        hi[order] = np.maximum(left, right)
-        # neighbour tuples hold the id objects of ``_eid``, not fresh ints
-        ids = eid.__getitem__
-        if n == 2:
-            nbr = ((ids(e),) for e in lo.tolist())
-        else:
-            nbr = zip(map(ids, lo.tolist()), map(ids, hi.tolist()))
-        self._nbr.update(zip(eid, nbr))
-        if not space.periodic and n > 2:
-            first, last = int(order[0]), int(order[-1])
-            self._nbr[eid[first]] = (eid[int(order[1])],)
-            self._nbr[eid[last]] = (eid[int(order[-2])],)
 
     def _cell_1d(self, v):
+        """Recompute the volume of the cell of engine id v."""
         eng = self._eng
         space = self.space
-        if len(eng.keys) == 1:
+        if eng.n == 1:
             self._vol[v] = space.total_measure("lambda")
-            self._nbr[v] = ()
             return
-        nbrs = set(eng.neighbors_at(eng.index_of(v)))
-        nbrs.discard(v)
         a, b = eng.cell_bounds(v)
         if space.density is None:
             L = space.size
             self._vol[v] = (b - a) % L if space.periodic else b - a
         else:
             self._vol[v] = space.region_measure((a, b), "lambda")
-        self._nbr[v] = tuple(sorted(nbrs))
+
+    def _neighbor_indices(self):
+        """Sorted neighbour indices of every cell, in configuration order."""
+        eid = self._eid
+        if self._backend != "sorted1d":
+            self._refresh(list(self._dirty_nbr), True)
+            cfg = {e: k for k, e in enumerate(eid)}
+            nbr = self._nbr
+            return [sorted(cfg[u] for u in nbr[e]) for e in eid]
+        eng = self._eng
+        n = eng.n
+        if n == 1:
+            return [[]]
+        # the index of each cell in sorted order; its neighbours are the
+        # entries before and after it there
+        at = np.searchsorted(np.array(eid), np.array(eng.order()))
+        left = np.roll(at, 1)
+        right = np.roll(at, -1)
+        lo = np.empty_like(at)
+        hi = np.empty_like(at)
+        lo[at] = np.minimum(left, right)
+        hi[at] = np.maximum(left, right)
+        if n == 2:
+            return [[k] for k in lo.tolist()]
+        out = [list(pair) for pair in zip(lo.tolist(), hi.tolist())]
+        if not eng.periodic:
+            out[at[0]] = [int(at[1])]
+            out[at[-1]] = [int(at[-2])]
+        return out
 
     def _cell_2d(self, v, want_nbrs=True):
         """Recompute the cell of engine vertex v.
@@ -398,15 +413,21 @@ class Tessellation:
 
     def degrees(self):
         """Number of neighbours of every cell, in configuration order."""
+        if self._backend == "sorted1d":
+            # two neighbours each, or one at either end of the interval
+            n = len(self._eid)
+            degs = np.full(n, min(n - 1, 2), dtype=np.int64)
+            if n > 2 and not self.space.periodic:
+                degs[[bisect_left(self._eid, e)
+                      for e in self._eng.ends()]] = 1
+            return degs
         self._refresh(list(self._dirty_nbr), True)
         nbr = self._nbr
         return np.array([len(nbr[e]) for e in self._eid], dtype=np.int64)
 
     def neighbor_sets(self):
         """Neighbour indices of every cell, in configuration order."""
-        self._refresh(list(self._dirty_nbr), True)
-        cfg = {e: k for k, e in enumerate(self._eid)}
-        return [frozenset(cfg[u] for u in self._nbr[e]) for e in self._eid]
+        return [frozenset(ks) for ks in self._neighbor_indices()]
 
     def volumes_at(self, indices):
         """Volumes of the given cells (the chain's hot path)."""
@@ -420,27 +441,28 @@ class Tessellation:
         """Degrees of the given cells (the chain's hot path)."""
         eid = self._eid
         es = [eid[j] for j in indices]
+        if self._backend == "sorted1d":
+            return list(map(self._eng.degree, es))
         self._refresh(es, True)
         nbr = self._nbr
         return [len(nbr[e]) for e in es]
 
     def snapshot_lines(self):
         """CSV description of every cell (deterministic across reruns)."""
-        self._refresh(list(self._dirty_nbr), True)
+        nbrs = self._neighbor_indices()
+        self._refresh(list(self._dirty_vol), False)
         two = self.space.dim == 2
         lines = ["index,x,y,cell_volume,degree,neighbor_list" if two
                  else "index,x,cell_volume,degree,neighbor_list"]
-        cfg = {e: k for k, e in enumerate(self._eid)}
         for k, e in enumerate(self._eid):
             p = self.points[k]
-            nb = ";".join(str(c) for c in sorted(cfg[u]
-                                                 for u in self._nbr[e]))
+            nb = ";".join(map(str, nbrs[k]))
             if two:
                 lines.append(f"{k},{p[0]!r},{p[1]!r},{self._vol[e]!r},"
-                             f"{len(self._nbr[e])},{nb}")
+                             f"{len(nbrs[k])},{nb}")
             else:
                 lines.append(f"{k},{p!r},{self._vol[e]!r},"
-                             f"{len(self._nbr[e])},{nb}")
+                             f"{len(nbrs[k])},{nb}")
         return lines
 
 

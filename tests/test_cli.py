@@ -202,6 +202,19 @@ def test_invalid_config_values_fail_with_named_key(tmp_path, capsys):
     assert err.startswith("error:") and "nope" in err
 
 
+@pytest.mark.parametrize("region", [[0.5, 0.2], [0.0, 1.5], [0.2],
+                                    [0.0, 0.5, 0.0, 0.5]])
+def test_simulate_rejects_a_bad_region_before_the_chain(tmp_path, capsys,
+                                                        region):
+    cfg = dict(CONFIG_1D, statistics={"region": region})
+    cfgp = _write_config(tmp_path, cfg)
+    out = str(tmp_path / "o")
+    rc = main(["simulate", "--config", cfgp, "--out-dir", out])
+    assert rc == 1
+    assert "region" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "events.txt"))
+
+
 def test_render_reproduces_simulated_raster(tmp_path, capsys):
     cfgp = _write_config(tmp_path, CONFIG_1D)
     out = str(tmp_path / "sim")

@@ -163,6 +163,53 @@ def test_stats_options_defaults_and_region():
     assert opts["grid_n"] == 6
 
 
+@pytest.mark.parametrize("kind,size,region,message", [
+    ("circle", 1.0, [0.5, 0.2], "region span (0.5, 0.2) must be ascending "
+                                "inside the chart [0, 1.0]"),
+    ("interval", 2, [0.0, 2.5], "region span (0.0, 2.5) must be ascending "
+                                "inside the chart [0, 2.0]"),
+    ("circle", 1.0, [-0.1, 0.5], "region span (-0.1, 0.5) must be "
+                                 "ascending inside the chart [0, 1.0]"),
+    ("circle", 1.0, [0.3, 0.3], "region span (0.3, 0.3) must be ascending "
+                                "inside the chart [0, 1.0]"),
+    ("circle", 1.0, [0.1], "a 1D region needs bounds (a, b)"),
+    ("circle", 1.0, [0.0, 0.5, 0.0, 0.5], "a 1D region needs bounds (a, b)"),
+    ("torus", 1.0, [0.0, 0.5], "a 2D region needs bounds (x0, x1, y0, y1)"),
+    ("square", 1.0, [0.0, 0.5, 0.6, 0.4], "region span (0.6, 0.4) must be "
+                                          "ascending inside the chart "
+                                          "[0, 1.0]"),
+    ("circle", 1.0, [0.0, "a"], "statistics.region must be null or a list "
+                                "of numbers"),
+    ("circle", 1.0, [0.0, True], "statistics.region must be null or a list "
+                                 "of numbers"),
+    ("circle", 1.0, 0.5, "statistics.region must be null or a list of "
+                         "numbers"),
+])
+def test_bad_region_fails_validation(kind, size, region, message):
+    cfg = _minimal()
+    cfg["space"] = {"kind": kind, "size": size}
+    cfg["statistics"] = {"region": region}
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert str(err.value) == message
+
+
+def test_region_check_gives_the_test_regions_message():
+    from vorsim.space import Space
+    from vorsim.statistics import TestRegion
+    for kind, region in (("interval", [0.8, 0.2]),
+                         ("square", [0.0, 1.2, 0.0, 1.0]),
+                         ("circle", [0.0, 0.5, 0.0, 0.5])):
+        cfg = _minimal()
+        cfg["space"] = {"kind": kind, "size": 1.0}
+        cfg["statistics"] = {"region": region}
+        with pytest.raises(ConfigError) as at_validation:
+            validate_config(cfg)
+        with pytest.raises(ConfigError) as at_region:
+            TestRegion(Space(kind, 1.0), region)
+        assert str(at_validation.value) == str(at_region.value)
+
+
 def test_selection_contents_checked_at_build_time():
     # structural validation accepts any known selection keys; semantic
     # checks happen when the SelectionSpec is constructed

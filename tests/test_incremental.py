@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import all_spaces, neighbor_pairs, random_points
-from vorsim import engine2d, tessellation
+from vorsim import engine1d, engine2d, tessellation
 from vorsim.errors import DuplicatePoints
 from vorsim.process import (InitSpec, ProcessParams, SelectionSpec,
                             initial_configuration, run)
@@ -56,13 +56,11 @@ def test_incremental_1d_caches_equal_a_fresh_build(kind, grid):
                 continue
         # read some cells between updates, as a chain does
         t.volumes_at(range(0, t.n, 7))
-    t.degrees()
+    t.cell_volumes()
     assert not t._dirty_vol and not t._dirty_nbr
     fresh = build(list(t.points), space)
-    cfg = {e: k for k, e in enumerate(t._eid)}
     assert {j: t._vol[e] for j, e in enumerate(t._eid)} == fresh._vol
-    assert {j: tuple(sorted(cfg[u] for u in t._nbr[e]))
-            for j, e in enumerate(t._eid)} == fresh._nbr
+    assert t.neighbor_sets() == fresh.neighbor_sets()
 
 
 def _checked_update(t, space, rebuilds, j, p=None):
@@ -78,9 +76,12 @@ def _checked_update(t, space, rebuilds, j, p=None):
     else:
         # the positions of the ids marked stale, by a scan, not bisection
         assert changed == tuple(k for k, e in enumerate(eid)
-                                if e in t._dirty_nbr)
+                                if e in t._dirty_vol)
     after = build(list(t.points), space)
     nbrs = t.neighbor_sets()
+    # 1D neighbours are read from the engine, so only a volume read
+    # leaves no stale cell for the next update
+    t.cell_volumes()
     assert nbrs == after.neighbor_sets()
     # a cell left out of ``changed`` kept its volume and its neighbours
     def old(k):
@@ -103,6 +104,7 @@ def _thin_to_one(space, pts, seed, p_remove, monkeypatch):
     rng = np.random.default_rng(seed)
     t = build(pts, space)
     t.neighbor_sets()
+    t.cell_volumes()
     while t.n > 1:
         j = int(rng.integers(t.n))
         p = None
@@ -289,3 +291,84 @@ def test_replacing_with_same_point_is_a_no_op_or_rejected(circle):
     except DuplicatePoints:
         pass
     assert build(list(t.points), circle).snapshot_lines() == before
+
+
+def _check_blocks(eng):
+    """The 1D engine's block invariants: no empty or overfull block, the
+    maxima list, sorted coordinates, and ids that match the positions."""
+    assert eng.blocks and len(eng.blocks) == len(eng.ids) == len(eng.maxes)
+    for blk, row, top in zip(eng.blocks, eng.ids, eng.maxes):
+        assert 0 < len(blk) == len(row) < 2 * engine1d.BLOCK
+        assert blk[-1] == top
+        assert all(eng.pos[v] == x for v, x in zip(row, blk))
+    xs = [x for blk in eng.blocks for x in blk]
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+    assert len(xs) == eng.n
+
+
+@pytest.mark.parametrize("mode", ["replacement", "thinning"])
+@pytest.mark.parametrize("grid", [None, [1.0, 3.0, 0.5, 2.0]])
+@pytest.mark.parametrize("kind", ["circle", "interval"])
+def test_1d_chains_through_block_splits_and_emptied_blocks(kind, grid, mode,
+                                                          monkeypatch):
+    # blocks of 4 split at 8 entries: a short chain splits and empties many
+    monkeypatch.setattr(engine1d, "BLOCK", 4)
+    changes = []
+    for name in ("insert", "delete"):
+        raw = getattr(engine1d.Engine1D, name)
+
+        def counted(self, *args, raw=raw):
+            before = len(self.blocks)
+            out = raw(self, *args)
+            changes.append(len(self.blocks) - before)
+            return out
+
+        monkeypatch.setattr(engine1d.Engine1D, name, counted)
+    checked = []
+
+    def check(t, event, tess):
+        _check_blocks(tess._eng)
+        fresh = build(list(tess.points), tess.space)
+        assert tess.cell_volumes().tobytes() == fresh.cell_volumes().tobytes()
+        assert tess.neighbor_sets() == fresh.neighbor_sets()
+        assert list(tess.degrees()) == list(fresh.degrees())
+        assert tess.degrees_at(range(tess.n)) == list(fresh.degrees())
+        checked.append(t)
+
+    space = Space(kind, 1.0, density=grid)
+    N, T = (40, 300) if mode == "replacement" else (64, 63)
+    params = ProcessParams(N=N, T=T, mode=mode,
+                           selection=SelectionSpec("volume_power", alpha=1.0),
+                           space=space, seed=12, snapshot_every=32)
+    tr = run(params, observers=[check])
+    assert len(checked) == T
+    assert len(tr.final_points) == (N if mode == "replacement" else 1)
+    # blocks were emptied, and in replacement split
+    assert changes.count(-1) > 3
+    if mode == "replacement":
+        assert changes.count(1) > 3
+
+
+@pytest.mark.parametrize("kind", ["circle", "interval"])
+def test_1d_duplicate_at_a_block_edge_is_rejected(kind, monkeypatch):
+    monkeypatch.setattr(engine1d, "BLOCK", 4)
+    space = Space(kind, 1.0)
+    pts = [k / 16 for k in range(16)]
+    t = build(pts, space)
+    eng = t._eng
+    assert [len(blk) for blk in eng.blocks] == [4, 4, 4, 4]
+    before = t.snapshot_lines()
+    edges = [x for blk in eng.blocks for x in (blk[0], blk[-1])]
+    for x in edges:
+        j = (pts.index(x) + 1) % len(pts)
+        with pytest.raises(DuplicatePoints):
+            t.replace_point(j, x)
+    if kind == "circle":
+        # 1.0 wraps onto 0.0, the first entry of the first block
+        with pytest.raises(DuplicatePoints):
+            t.replace_point(5, 1.0)
+    _check_blocks(eng)
+    assert t.snapshot_lines() == before
+    # the build rejects a pair that coincides at a block edge too
+    with pytest.raises(DuplicatePoints, match="points 3 and 16 coincide"):
+        build(pts + [pts[3]], space)

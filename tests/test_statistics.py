@@ -16,7 +16,7 @@ from vorsim.statistics import (TestRegion, clustering_index,
                                quadrat_variance, selection_mass,
                                thiel_of_volumes, thiel_redundancy)
 from vorsim.statistics import _nearest_distances_1d
-from vorsim.tessellation import build
+from vorsim.tessellation import Tessellation, build
 
 
 # -- regions and counting ---------------------------------------------------
@@ -281,6 +281,22 @@ def test_collapse_threshold_defaults(square, circle):
     assert collapse_threshold_default(square, 200) == 8.0
     assert collapse_threshold_default(circle, 16) == 12.0
     assert collapse_threshold_default(circle, 128) == 32.0
+
+
+@pytest.mark.parametrize("kind", ["torus", "square"])
+def test_pattern_summary_scans_each_2d_cell_once(kind, monkeypatch):
+    space = Space(kind, 1.0)
+    t = build(random_points(np.random.default_rng(49), space, 80), space)
+    calls = []
+    cell = Tessellation._cell_2d
+
+    def counted(self, v, want_nbrs=True):
+        calls.append(v)
+        return cell(self, v, want_nbrs)
+
+    monkeypatch.setattr(Tessellation, "_cell_2d", counted)
+    pattern_summary(t, f_resolution=20_000)
+    assert sorted(calls) == list(range(80))
 
 
 def test_pattern_summary_table_is_well_formed(torus):

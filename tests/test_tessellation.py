@@ -1,5 +1,7 @@
 """Voronoi partitions: frozen small cases, invariants and the sampling oracle."""
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -100,21 +102,40 @@ def _spaces_1d():
             for grid in (None, [1.0, 3.0, 0.5, 2.0])]
 
 
+def _sorted_order_neighbors(points, periodic):
+    """A 1D cell's neighbours: the points before and after it in sorted
+    order, around the circle when periodic."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    n = len(order)
+    out = [set() for _ in range(n)]
+    for k in range(n if periodic else n - 1):
+        a, b = order[k], order[(k + 1) % n]
+        if a != b:
+            out[a].add(b)
+            out[b].add(a)
+    return [frozenset(s) for s in out]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 1000])
 def test_build_fills_1d_cells_as_the_per_cell_refresh(n):
     rng = np.random.default_rng(40 + n)
     for space in _spaces_1d():
         t = build(random_points(rng, space, n), space)
         assert not t._dirty_vol and not t._dirty_nbr
-        vol, nbr = dict(t._vol), dict(t._nbr)
-        # id order, the order cell_volumes reads the caches in
-        assert list(vol) == list(nbr) == t._eid
+        # the build caches volumes only; neighbours come from the engine
+        assert not t._nbr
+        vol = dict(t._vol)
+        # id order, the order cell_volumes reads the cache in
+        assert list(vol) == t._eid
         for e in t._eid:
             t._cell_1d(e)
         assert t._vol == vol
-        assert t._nbr == nbr
         assert np.array(list(t._vol.values())).tobytes() == \
             np.array(list(vol.values())).tobytes()
+        nbrs = _sorted_order_neighbors(t.points, space.periodic)
+        assert t.neighbor_sets() == nbrs
+        assert list(t.degrees()) == [len(s) for s in nbrs]
+        assert t.degrees_at(range(n)) == [len(s) for s in nbrs]
 
 
 def test_volumes_then_degrees_refresh_each_changed_cell_once(circle,
@@ -155,14 +176,21 @@ def test_1d_build_rejects_invalid_points_by_name(circle, interval):
 
 def test_1d_build_shares_point_and_id_objects(circle):
     t = build(random_points(np.random.default_rng(42), circle, 600), circle)
-    # the engine's keys and the neighbour tuples hold the float objects
-    # of ``points`` and the int objects of ``_eid``, not copies
+    # the engine makes no per-point object of its own: its id -> position
+    # map holds the float objects of ``points``, and its blocks pack the
+    # sorted coordinates and their ids as machine numbers
     eng = t._eng
-    for x, e in eng.keys:
-        assert x is t.points[e] and e is t._eid[e]
-        assert eng.pos[e] is x
-    for e, nbrs in t._nbr.items():
-        assert all(u is t._eid[u] for u in nbrs)
+    assert t._eid == list(range(t.n))
+    assert len(eng.pos) == t.n
+    for e, x in enumerate(eng.pos):
+        assert x is t.points[e]
+    assert all(isinstance(b, array) and b.typecode == "d"
+               for b in eng.blocks)
+    assert all(isinstance(r, array) and r.typecode == "q" for r in eng.ids)
+    xs = [x for b in eng.blocks for x in b]
+    assert xs == sorted(t.points)
+    assert [t.points[e] for e in eng.order()] == xs
+    assert not t._nbr
 
 
 def test_empty_configuration_rejected(circle):
