@@ -208,11 +208,6 @@ def apply_override(cfg, item):
     return cfg
 
 
-def dump_config(cfg):
-    """Serialize a configuration deterministically (sorted keys)."""
-    return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
-
-
 def stats_options(cfg):
     """Statistics knobs with defaults, whether or not the block exists."""
     out = dict(_DEFAULTS["statistics"])

@@ -483,8 +483,10 @@ def run(params, observers=(), stop_when=None):
     stopped_at = None
     # the sampler holds the weights a full reevaluation would produce and
     # its state depends on those weights alone, so run() draws exactly the
-    # indices a sequence of step() calls draws
-    sampler = _RowSumSampler(sel.weights(tess))
+    # indices a sequence of step() calls draws; snapshot 0 holds the cells
+    first = snapshots[0]
+    sampler = _RowSumSampler(sel.evaluate(
+        first.volumes if sel.uses_volumes else first.degrees))
     pts = tess.points
     values_at = tess.volumes_at if sel.uses_volumes else tess.degrees_at
     thinning = mode == "thinning"

@@ -423,7 +423,7 @@ def pattern_summary(tess, r_grid=None, f_resolution=100_000, grid_n=10,
     return PatternSummary(
         volume_histogram=(v_edges, v_counts),
         degree_histogram=(d_values, d_counts),
-        thiel_R=thiel_redundancy(tess),
+        thiel_R=thiel_of_volumes(vols),
         j_function=j_function(tess.points, tess.space, r_grid, f_resolution),
         quadrat_variance=quadrat_variance(tess.points, tess.space, grid_n),
     )

@@ -122,8 +122,7 @@ class Tessellation:
         self._vol.clear()
         self._nbr.clear()
         space = self.space
-        self._bounded = not space.periodic
-        self._collect2 = self._bounded or space.density is not None
+        self._collect2 = not space.periodic or space.density is not None
         self._ghosts = frozenset()
         # volumes and neighbour sets age independently: volume-only reads
         # (the common case along a chain) skip the adjacency bookkeeping
@@ -337,8 +336,8 @@ class Tessellation:
         space = self.space
         L = space.size
         eps2 = self._eps2
-        vol, nbrs, ring, ccs, flags = eng.cell_scan(
-            v, eps2, self._ghosts, self._bounded, want_nbrs, self._collect2)
+        vol, nbrs, ring, ccs, flags = eng.cell_scan(v, eps2, want_nbrs,
+                                                    self._collect2)
         if not flags:
             if space.density is not None:
                 vol = polygon_grid_measure(ccs, space.density, L,
@@ -446,24 +445,6 @@ class Tessellation:
         self._refresh(es, True)
         nbr = self._nbr
         return [len(nbr[e]) for e in es]
-
-    def snapshot_lines(self):
-        """CSV description of every cell (deterministic across reruns)."""
-        nbrs = self._neighbor_indices()
-        self._refresh(list(self._dirty_vol), False)
-        two = self.space.dim == 2
-        lines = ["index,x,y,cell_volume,degree,neighbor_list" if two
-                 else "index,x,cell_volume,degree,neighbor_list"]
-        for k, e in enumerate(self._eid):
-            p = self.points[k]
-            nb = ";".join(map(str, nbrs[k]))
-            if two:
-                lines.append(f"{k},{p[0]!r},{p[1]!r},{self._vol[e]!r},"
-                             f"{len(nbrs[k])},{nb}")
-            else:
-                lines.append(f"{k},{p!r},{self._vol[e]!r},"
-                             f"{len(nbrs[k])},{nb}")
-        return lines
 
 
 def build(points, space):

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import yaml
 
 from vorsim.geom2d import clip_polygon_halfplane, polygon_area
 from vorsim.space import Space
@@ -161,3 +162,26 @@ def j_function_reference(config, space, r_grid, f_resolution):
             continue
         rows.append((float(r), (1.0 - g) / (1.0 - f)))
     return np.array(rows, dtype=float).reshape(-1, 2)
+
+
+def dump_config(cfg):
+    """Serialize a configuration deterministically (sorted keys)."""
+    return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
+
+
+def snapshot_lines(tess):
+    """CSV description of every cell of a tessellation, a fingerprint that
+    is deterministic across reruns."""
+    nbrs = [sorted(s) for s in tess.neighbor_sets()]
+    vols = tess.cell_volumes().tolist()
+    two = tess.space.dim == 2
+    lines = ["index,x,y,cell_volume,degree,neighbor_list" if two
+             else "index,x,cell_volume,degree,neighbor_list"]
+    for k, p in enumerate(tess.points):
+        nb = ";".join(map(str, nbrs[k]))
+        if two:
+            lines.append(f"{k},{p[0]!r},{p[1]!r},{vols[k]!r},"
+                         f"{len(nbrs[k])},{nb}")
+        else:
+            lines.append(f"{k},{p!r},{vols[k]!r},{len(nbrs[k])},{nb}")
+    return lines

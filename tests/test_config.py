@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import dump_config
 from vorsim.config import (SCHEMA_VERSION, apply_override, build_params,
-                           build_selection, build_space, dump_config,
-                           load_config, stats_options, validate_config)
+                           build_selection, build_space, load_config,
+                           stats_options, validate_config)
 from vorsim.errors import ConfigError
 
 MINIMAL = {

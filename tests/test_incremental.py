@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import all_spaces, neighbor_pairs, random_points
+from helpers import (all_spaces, neighbor_pairs, random_points,
+                     snapshot_lines)
 from vorsim import engine1d, engine2d, tessellation
 from vorsim.errors import DuplicatePoints
 from vorsim.process import (InitSpec, ProcessParams, SelectionSpec,
@@ -277,7 +278,7 @@ def test_replacement_sequence_is_deterministic(torus):
                 t.replace_point(j, p)
             except DuplicatePoints:
                 continue
-        return t.snapshot_lines()
+        return snapshot_lines(t)
 
     assert play() == play()
 
@@ -285,12 +286,12 @@ def test_replacement_sequence_is_deterministic(torus):
 def test_replacing_with_same_point_is_a_no_op_or_rejected(circle):
     rng = np.random.default_rng(28)
     t = build(random_points(rng, circle, 6), circle)
-    before = t.snapshot_lines()
+    before = snapshot_lines(t)
     try:
         t.replace_point(2, list(t.points)[2])
     except DuplicatePoints:
         pass
-    assert build(list(t.points), circle).snapshot_lines() == before
+    assert snapshot_lines(build(list(t.points), circle)) == before
 
 
 def _check_blocks(eng):
@@ -357,7 +358,7 @@ def test_1d_duplicate_at_a_block_edge_is_rejected(kind, monkeypatch):
     t = build(pts, space)
     eng = t._eng
     assert [len(blk) for blk in eng.blocks] == [4, 4, 4, 4]
-    before = t.snapshot_lines()
+    before = snapshot_lines(t)
     edges = [x for blk in eng.blocks for x in (blk[0], blk[-1])]
     for x in edges:
         j = (pts.index(x) + 1) % len(pts)
@@ -368,7 +369,7 @@ def test_1d_duplicate_at_a_block_edge_is_rejected(kind, monkeypatch):
         with pytest.raises(DuplicatePoints):
             t.replace_point(5, 1.0)
     _check_blocks(eng)
-    assert t.snapshot_lines() == before
+    assert snapshot_lines(t) == before
     # the build rejects a pair that coincides at a block edge too
     with pytest.raises(DuplicatePoints, match="points 3 and 16 coincide"):
         build(pts + [pts[3]], space)

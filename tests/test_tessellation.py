@@ -5,7 +5,8 @@ from array import array
 import numpy as np
 import pytest
 
-from helpers import all_spaces, neighbor_pairs, random_points
+from helpers import (all_spaces, neighbor_pairs, random_points,
+                     snapshot_lines)
 from vorsim.errors import ConfigError, DuplicatePoints
 from vorsim.space import Space
 from vorsim.tessellation import Tessellation, build, oracle_cell_stats
@@ -214,8 +215,8 @@ def test_density_weighted_volumes_partition_2d():
 def test_snapshot_lines_header_and_determinism(torus):
     rng = np.random.default_rng(9)
     pts = random_points(rng, torus, 12)
-    lines_a = build(pts, torus).snapshot_lines()
-    lines_b = build(pts, torus).snapshot_lines()
+    lines_a = snapshot_lines(build(pts, torus))
+    lines_b = snapshot_lines(build(pts, torus))
     assert lines_a == lines_b
     assert lines_a[0] == "index,x,y,cell_volume,degree,neighbor_list"
     assert len(lines_a) == 13
