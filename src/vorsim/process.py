@@ -527,5 +527,7 @@ def run(params, observers=(), stop_when=None):
     removed = removed[:n_ev]
     if inserted is not None:
         inserted = inserted[:n_ev]
+    # the last snapshot is taken at the last step: t == T, a thinning's
+    # lone survivor or a stop
     return Trajectory(params, steps, chosen, removed, inserted, snapshots,
-                      np.asarray(tess.points, dtype=float), stopped_at)
+                      snapshots[-1].points.copy(), stopped_at)

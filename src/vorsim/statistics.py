@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.ndimage import maximum_filter
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, InsufficientData
 from .space import region_bounds
@@ -206,6 +204,7 @@ def _reachable_grid(pts, G, L, r_max):
     k = max(math.ceil(r_max * G / L), 0) + 1
     if 2 * k + 1 >= G:
         return np.arange(G * G)
+    from scipy.ndimage import maximum_filter
     cells = np.minimum((pts * (G / L)).astype(np.int64), G - 1)
     mask = np.zeros((G, G), dtype=bool)
     mask[cells[:, 1], cells[:, 0]] = True
@@ -223,12 +222,14 @@ def j_function(config, space, r_grid=None, f_resolution=100_000):
     Radii where the estimate is undefined (no interior sample left, or
     F = 1) are omitted.
 
-    In two dimensions the distances come from a ``cKDTree`` and the test
-    points form a G x G grid, G = round(sqrt(f_resolution)).  F counts
-    only test points within the largest radius r_max of ``r_grid``, so
-    the F pass queries only the grid points a generator can reach: those
-    at most ceil(r_max G / L) + 1 cells from a cell holding a generator
-    along each axis, with a ``distance_upper_bound`` just above r_max.
+    In two dimensions the distances come from SciPy's ``cKDTree``, which
+    is imported on the first 2D call (with ``scipy.ndimage`` for the
+    grid below), so a 1D run never loads SciPy.  The test points form a
+    G x G grid, G = round(sqrt(f_resolution)).  F counts only test
+    points within the largest radius r_max of ``r_grid``, so the F pass
+    queries only the grid points a generator can reach: those at most
+    ceil(r_max G / L) + 1 cells from a cell holding a generator along
+    each axis, with a ``distance_upper_bound`` just above r_max.
     This keeps the bits of a query of the whole grid: the tree and the
     coordinates of each queried point are the same, so each reported
     distance is too, and a point left out or reported beyond the bound
@@ -264,6 +265,8 @@ def j_function(config, space, r_grid=None, f_resolution=100_000):
         d_g, d_f = _nearest_distances_1d(xs, axis, L, periodic)
         pts = xs.reshape(-1, 1)
     else:
+        # SciPy loads here, on the first 2D call, not on import
+        from scipy.spatial import cKDTree
         pts = _points_matrix(config, space.dim)
         tree = cKDTree(pts, boxsize=L if periodic else None)
         # nearest neighbour of each generator (k=1 is the point itself)

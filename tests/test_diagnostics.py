@@ -1,11 +1,12 @@
 """Convergence checks, minorization verification and exponent sweeps."""
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vorsim.diagnostics import (KS_THRESHOLD, default_burn_in,
+from vorsim.diagnostics import (KS_THRESHOLD, _ks_distance, default_burn_in,
                                 minorization_check, phase_sweep,
                                 two_chain_convergence)
 from vorsim.errors import ConfigError
@@ -54,6 +55,42 @@ def test_convergence_report_is_deterministic(circle):
     b = two_chain_convergence(_params(circle, T=1500),
                               "grid_jittered", "single_cluster")
     assert a.table_lines() == b.table_lines()
+
+
+def _random_pool(rng, n):
+    # about half the pools round their values onto a coarse grid, so pools
+    # hold ties within and between them
+    x = rng.random(n)
+    if rng.random() < 0.5:
+        k = int(rng.integers(2, 50))
+        x = np.round(x * k) / k
+    return x
+
+
+def test_ks_distance_equals_scipy_exact_mode_bit_for_bit():
+    from scipy.stats import ks_2samp
+    rng = np.random.default_rng(90)
+    sizes = [(1, 1), (1, 10_000), (10_000, 10_000), (9_999, 10_000)]
+    sizes += [tuple(int(v) for v in np.exp(rng.random(2) * np.log(10_000)))
+              for _ in range(400)]
+    for n_a, n_b in sizes:
+        a, b = _random_pool(rng, n_a), _random_pool(rng, n_b)
+        want = float(ks_2samp(a, b).statistic)
+        got = _ks_distance(a, b)
+        assert type(got) is float
+        assert got.hex() == want.hex(), (n_a, n_b)
+
+
+def test_ks_distance_is_the_correctly_rounded_fraction_above_10000():
+    rng = np.random.default_rng(91)
+    for n_a, n_b in [(10_001, 10_001), (12_345, 30_001), (1, 25_000),
+                     (20_000, 7)]:
+        a, b = _random_pool(rng, n_a), _random_pool(rng, n_b)
+        sa, sb = sorted(a.tolist()), sorted(b.tolist())
+        d = max(abs(bisect_right(sa, x) * n_b - bisect_right(sb, x) * n_a)
+                for x in sa + sb)
+        want = float(Fraction(d, n_a * n_b))
+        assert _ks_distance(a, b).hex() == want.hex(), (n_a, n_b)
 
 
 def test_checkpoints_must_leave_room_after_burn_in(circle):

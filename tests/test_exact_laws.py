@@ -34,12 +34,23 @@ def test_alpha_zero_circle_cells_follow_the_beta_law():
         if seen.all():
             break
     assert seen.all()
-    # one cell per snapshot; 200 steps apart, each index is replaced
-    # again with probability 1 - (31/32)**200 > 0.998
-    sample = [2.0 * snap.volumes[0] for snap in tr.snapshots
-              if snap.step > t]
-    assert len(sample) == 200
-    # seeds 0-11 give p from 0.24 to 0.88
+    # 200 steps apart, each index is replaced again with probability
+    # 1 - (31/32)**200 > 0.998.  Per snapshot, every other cell in circle
+    # order from point 0 on: these 16 cells share no spacing, and each
+    # has the law of point 0's cell, as the spacings from a point picked
+    # without regard to position are exchangeable.  Counting from the
+    # lowest coordinate instead would take the cell across 0, whose
+    # spacing is size-biased.
+    sample = []
+    for snap in tr.snapshots:
+        if snap.step > t:
+            order = np.argsort(snap.points.reshape(-1))
+            k0 = int(np.flatnonzero(order == 0)[0])
+            cells = order[(k0 + np.arange(0, N, 2)) % N]
+            sample.extend(2.0 * snap.volumes[cells])
+    assert len(sample) == 200 * 16
+    # seeds 0-11 give p from 0.32 to 0.98; alpha = 0.5 or -0.3 in place
+    # of 0 gives p below 3e-4 on seeds 0-2
     assert kstest(sample, "beta", args=(2, N - 2)).pvalue > 1e-3
 
 

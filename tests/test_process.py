@@ -177,6 +177,22 @@ def test_run_is_deterministic(torus):
     assert np.array_equal(a.final_points, b.final_points)
 
 
+@pytest.mark.parametrize("mode,stop", [("replacement", False),
+                                       ("thinning", False),
+                                       ("replacement", True)])
+def test_final_points_copy_the_last_snapshot(torus, mode, stop):
+    params = ProcessParams(N=16, T=40, mode=mode,
+                           selection=SelectionSpec("volume_power", alpha=0.5),
+                           space=torus, init="iid_mu", seed=12,
+                           snapshot_every=7)
+    tr = run(params, stop_when=(lambda t, tess: t >= 15) if stop else None)
+    last = tr.snapshots[-1]
+    assert last.step == (21 if stop else 15 if mode == "thinning" else 40)
+    assert np.array_equal(tr.final_points, last.points)
+    assert not np.shares_memory(tr.final_points, last.points)
+    assert not np.array_equal(tr.final_points, tr.snapshots[0].points)
+
+
 def test_different_seeds_differ(torus):
     base = dict(N=16, T=64, mode="replacement",
                 selection=SelectionSpec("volume_power", alpha=0.5),

@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+import scipy.spatial
 
 from helpers import (ckdtree_nearest_distances, j_function_reference,
                      random_points)
-from vorsim import statistics
 from vorsim.errors import ConfigError, InsufficientData
 from vorsim.process import ProcessParams, SelectionSpec, run
 from vorsim.space import Space
@@ -235,12 +234,14 @@ def test_2d_j_function_equals_the_whole_grid_query_bit_for_bit(
 def test_collapsed_j_function_queries_few_grid_points(torus, monkeypatch):
     rows = []
 
-    class CountingTree(cKDTree):
+    class CountingTree(scipy.spatial.cKDTree):
         def query(self, x, *args, **kwargs):
             rows.append(len(x))
             return super().query(x, *args, **kwargs)
 
-    monkeypatch.setattr(statistics, "cKDTree", CountingTree)
+    # j_function imports the tree when it is called, so patch it at the
+    # source
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     rng = np.random.default_rng(50)
     pts = 0.5 + 0.05 * (2.0 * rng.random((256, 2)) - 1.0)
     j_function([tuple(p) for p in pts], torus)
